@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import require_finite, require_hermitian
+from .linalg import _worst, require_finite, require_hermitian
 
 #: Validation tolerances for density matrices.
 DENSITY_HERMITICITY_TOL = 1e-10
@@ -91,32 +91,40 @@ for _arr in (_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS):
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite matrix of dimension 2, 3 or 6."""
+    """Hermitian, unit-trace, positive-semidefinite matrix of dimension 2, 3 or 6.
+
+    ``matrix`` may also be a stack ``(N, d, d)``; every check then runs on
+    every matrix of the stack.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
         mat = np.array(self.matrix, dtype=complex)
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] not in (2, 3, 6):
+        if (mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]
+                or mat.shape[-1] not in (2, 3, 6) or mat.size == 0):
             raise ValidationError(
                 f"density matrix must be square of dimension 2, 3 or 6, got shape {mat.shape}"
             )
         require_finite(mat, "density matrix")
         require_hermitian(mat, DENSITY_HERMITICITY_TOL, "density matrix")
-        trace = mat.trace()
-        if abs(trace - 1.0) > DENSITY_TRACE_TOL:
-            raise ValidationError(f"density matrix trace is {trace.real:.12g}, expected 1")
-        smallest = float(np.linalg.eigvalsh(mat)[0])
-        if smallest < DENSITY_EIGENVALUE_FLOOR:
-            raise ValidationError(
-                f"density matrix has negative eigenvalue {smallest:.3e}"
-            )
+        trace = mat.trace(axis1=-2, axis2=-1)
+        error = abs(trace - 1.0)
+        if error.max() > DENSITY_TRACE_TOL:
+            index, where = _worst(error)
+            raise ValidationError("density matrix trace is "
+                                  f"{np.ravel(trace)[index].real:.12g}, expected 1{where}")
+        smallest = np.linalg.eigvalsh(mat).T[0]
+        if smallest.min() < DENSITY_EIGENVALUE_FLOOR:
+            index, where = _worst(-smallest)
+            raise ValidationError("density matrix has negative eigenvalue "
+                                  f"{np.ravel(smallest)[index]:.3e}{where}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
     @property
     def dim(self) -> int:
-        return self.matrix.shape[0]
+        return self.matrix.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -124,7 +132,8 @@ class CoherenceDecomposition:
     """Real expansion coefficients of a qubit-qutrit matrix in the generator basis.
 
     ``u`` is the Bloch vector of the qubit subsystem, ``v`` the coherence
-    vector of the qutrit subsystem and ``beta`` the 3x8 correlation tensor.
+    vector of the qutrit subsystem and ``beta`` the 3x8 correlation tensor;
+    for a stack of ``N`` matrices each carries a leading axis of length ``N``.
     """
 
     u: np.ndarray
@@ -135,9 +144,12 @@ class CoherenceDecomposition:
         u = np.array(self.u, dtype=float)
         v = np.array(self.v, dtype=float)
         beta = np.array(self.beta, dtype=float)
-        if u.shape != (3,) or v.shape != (8,) or beta.shape != (3, 8):
+        batch = u.shape[:-1]
+        if (u.shape[-1:] != (3,) or v.shape != batch + (8,)
+                or beta.shape != batch + (3, 8) or len(batch) > 1):
             raise ValidationError(
-                f"expected shapes (3,), (8,), (3, 8); got {u.shape}, {v.shape}, {beta.shape}"
+                f"expected shapes (3,), (8,), (3, 8), each with an optional leading "
+                f"stack axis; got {u.shape}, {v.shape}, {beta.shape}"
             )
         for arr, name in ((u, "u"), (v, "v"), (beta, "beta")):
             require_finite(arr, name)
@@ -153,7 +165,7 @@ def _as_matrix6(rho) -> np.ndarray:
             raise ValidationError(f"expected a 6-dimensional matrix, got dim {rho.dim}")
         return rho.matrix
     mat = np.asarray(rho, dtype=complex)
-    if mat.shape != (6, 6):
+    if mat.shape[-2:] != (6, 6) or mat.ndim not in (2, 3) or mat.size == 0:
         raise ValidationError(f"expected a 6x6 matrix, got shape {mat.shape}")
     require_finite(mat, "matrix")
     return mat
@@ -164,14 +176,16 @@ def decompose(rho) -> CoherenceDecomposition:
 
     Accepts a :class:`DensityMatrix` or a raw Hermitian array (the decoder's
     output never re-enters as a validated state, so the raw form keeps the
-    round trip testable on unphysical coefficients).  Each coefficient trace
-    must be real within :data:`TRACE_IMAG_TOL`; a larger imaginary part means
-    the input was not Hermitian and raises :class:`ConsistencyError`.
+    round trip testable on unphysical coefficients), one matrix or a stack
+    ``(N, 6, 6)``.  Each coefficient trace must be real within
+    :data:`TRACE_IMAG_TOL`; a larger imaginary part means the input was not
+    Hermitian and raises :class:`ConsistencyError`.
     """
     mat = _as_matrix6(rho)
-    raw_u = np.einsum("ab,kba->k", mat, _QUBIT_OPS)
-    raw_v = np.einsum("ab,kba->k", mat, _QUTRIT_OPS)
-    raw_beta = np.einsum("ab,kjba->kj", mat, _PAIR_OPS)
+    stack = mat if mat.ndim == 3 else mat[None]
+    raw_u = np.einsum("nab,kba->nk", stack, _QUBIT_OPS)
+    raw_v = np.einsum("nab,kba->nk", stack, _QUTRIT_OPS)
+    raw_beta = np.einsum("nab,kjba->nkj", stack, _PAIR_OPS)
     worst_imag = max(
         float(np.max(np.abs(raw_u.imag))),
         float(np.max(np.abs(raw_v.imag))),
@@ -182,6 +196,8 @@ def decompose(rho) -> CoherenceDecomposition:
             f"coefficient traces have imaginary part {worst_imag:.3e}; "
             "input matrix is not Hermitian"
         )
+    if mat.ndim == 2:
+        raw_u, raw_v, raw_beta = raw_u[0], raw_v[0], raw_beta[0]
     return CoherenceDecomposition(
         u=raw_u.real,
         v=(_SQRT3 / 2.0) * raw_v.real,
@@ -203,17 +219,18 @@ def reconstruct(coeffs: CoherenceDecomposition) -> np.ndarray:
     return mat / 6.0
 
 
-def reduced_a(rho_ab: DensityMatrix) -> DensityMatrix:
-    """Qubit reduced density matrix: trace out the qutrit."""
+def _partial_trace(rho_ab: DensityMatrix, subscripts: str, caller: str) -> DensityMatrix:
     if not isinstance(rho_ab, DensityMatrix) or rho_ab.dim != 6:
-        raise ValidationError("reduced_a expects a 6-dimensional DensityMatrix")
-    blocks = rho_ab.matrix.reshape(2, 3, 2, 3)
-    return DensityMatrix(np.einsum("ijkj->ik", blocks))
+        raise ValidationError(f"{caller} expects a 6-dimensional DensityMatrix")
+    blocks = rho_ab.matrix.reshape(rho_ab.matrix.shape[:-2] + (2, 3, 2, 3))
+    return DensityMatrix(np.einsum(subscripts, blocks))
+
+
+def reduced_a(rho_ab: DensityMatrix) -> DensityMatrix:
+    """Qubit reduced density matrix: trace out the qutrit (per matrix of a stack)."""
+    return _partial_trace(rho_ab, "...ijkj->...ik", "reduced_a")
 
 
 def reduced_b(rho_ab: DensityMatrix) -> DensityMatrix:
-    """Qutrit reduced density matrix: trace out the qubit."""
-    if not isinstance(rho_ab, DensityMatrix) or rho_ab.dim != 6:
-        raise ValidationError("reduced_b expects a 6-dimensional DensityMatrix")
-    blocks = rho_ab.matrix.reshape(2, 3, 2, 3)
-    return DensityMatrix(np.einsum("ijik->jk", blocks))
+    """Qutrit reduced density matrix: trace out the qubit (per matrix of a stack)."""
+    return _partial_trace(rho_ab, "...ijik->...jk", "reduced_b")

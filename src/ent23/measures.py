@@ -17,6 +17,17 @@ absolute error grows to ``sqrt(eps)``; the amplitude form has no such
 amplification).  The entanglement of formation follows from the concurrence
 through the binary entropy and equals the Von Neumann entropy of either
 reduced state, which this module also computes as an independent check.
+
+Every route takes a stack of states as well as one state: a
+:class:`PureState` over amplitudes ``(N, 2, d_b)`` yields array results of
+length ``N``, one element per state, from the same elementwise NumPy code
+that evaluates a single state (which gets plain floats back; per-state
+quantities are read so that a single state computes on NumPy scalars
+rather than on one-element arrays).  Batching never changes a number: each
+element is bit-identical to the one-state call, which is what keeps
+``ent23 sample`` output byte-identical while it measures and writes its rows
+a chunk at a time.  The module notes of :mod:`ent23.linalg` list the NumPy
+calls avoided for that.
 """
 
 from __future__ import annotations
@@ -26,9 +37,18 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .bases import DensityMatrix, decompose, reduced_a
+from .bases import CoherenceDecomposition, DensityMatrix, decompose, reduced_a
 from .errors import ValidationError
-from .linalg import hermitian_eig2, hermitian_eig3, hermitian_eigvecs2, require_finite
+from .linalg import (
+    _TINY,
+    _complex_norms,
+    _dots,
+    _worst,
+    hermitian_eig2,
+    hermitian_eig3,
+    hermitian_eigvecs2,
+    require_finite,
+)
 
 #: Construction tolerance on the squared norm of a pure state.
 STATE_NORM_TOL = 1e-9
@@ -48,34 +68,43 @@ SCHMIDT_ZERO_TOL = 5e-8
 PHASE_TOL = 1e-12
 
 
+def _out(values):
+    """Per-state results as returned: an array for a stack, a float for one state."""
+    return values if values.ndim else float(values)
+
+
 @dataclass(frozen=True)
 class PureState:
-    """Normalized pure state of a (2, d_b) system, d_b in {2, 3}.
+    """Normalized pure state of a (2, d_b) system, d_b in {2, 3}, or a stack.
 
     ``amplitudes[i, j]`` is the coefficient of qubit level ``i`` and partner
-    level ``j``; the flattened (composite) index is ``d_b * i + j``.
+    level ``j``; the flattened (composite) index is ``d_b * i + j``.  A stack
+    of ``N`` states has amplitudes ``(N, 2, d_b)``, and every state in it is
+    checked.
     """
 
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         amp = np.array(self.amplitudes, dtype=complex)
-        if amp.shape not in ((2, 2), (2, 3)):
+        if amp.shape[-2:] not in ((2, 2), (2, 3)) or amp.ndim not in (2, 3) or amp.size == 0:
             raise ValidationError(
-                f"amplitude grid must have shape (2, 2) or (2, 3), got {amp.shape}"
+                "amplitude grid must have shape (2, 2) or (2, 3), or be a stack "
+                f"(N, 2, d_b) of them; got {amp.shape}"
             )
         require_finite(amp, "amplitudes")
-        norm_sq = float(np.sum(amp.real ** 2 + amp.imag ** 2))
-        if abs(norm_sq - 1.0) > STATE_NORM_TOL:
-            raise ValidationError(
-                f"state is not normalized: sum of |a|^2 is {norm_sq:.12g}"
-            )
+        norm_sq = (amp.real ** 2 + amp.imag ** 2).sum(axis=(-2, -1))
+        error = abs(norm_sq - 1.0)
+        if error.max() > STATE_NORM_TOL:
+            index, where = _worst(error)
+            raise ValidationError("state is not normalized: sum of |a|^2 is "
+                                  f"{np.ravel(norm_sq)[index]:.12g}{where}")
         amp.setflags(write=False)
         object.__setattr__(self, "amplitudes", amp)
 
     @property
     def d_b(self) -> int:
-        return self.amplitudes.shape[1]
+        return self.amplitudes.shape[-1]
 
     @property
     def dims(self) -> tuple[int, int]:
@@ -83,18 +112,23 @@ class PureState:
 
     def vector(self) -> np.ndarray:
         """Amplitudes flattened by composite index ``d_b * i + j``."""
-        return self.amplitudes.reshape(-1).copy()
+        return self.amplitudes.reshape(self.amplitudes.shape[:-2] + (-1,)).copy()
 
     def density(self) -> DensityMatrix:
         """Projector onto this state's ray, normalized to unit trace."""
-        vec = self.amplitudes.reshape(-1)
-        outer = np.outer(vec, vec.conj())
-        return DensityMatrix(outer / outer.trace().real)
+        vec = self.amplitudes.reshape(self.amplitudes.shape[:-2] + (-1,))
+        outer = vec[..., :, None] * np.conj(vec)[..., None, :]
+        trace = outer.diagonal(axis1=-2, axis2=-1).sum(axis=-1).real
+        return DensityMatrix(outer / trace[..., None, None])
 
 
 @dataclass(frozen=True)
 class SchmidtForm:
-    """Two-term Schmidt decomposition ``k1 |x1>|y1> + k2 |x2>|y2>``."""
+    """Two-term Schmidt decomposition ``k1 |x1>|y1> + k2 |x2>|y2>``.
+
+    For a stack of ``N`` states ``k1`` and ``k2`` are arrays ``(N,)`` and the
+    vectors carry a leading axis of length ``N``.
+    """
 
     k1: float
     k2: float
@@ -104,14 +138,19 @@ class SchmidtForm:
     y2: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        """Amplitude grid rebuilt from the decomposition."""
-        return (self.k1 * np.outer(self.x1, self.y1)
-                + self.k2 * np.outer(self.x2, self.y2))
+        """Amplitude grid (or stack of grids) rebuilt from the decomposition."""
+        k1 = np.asarray(self.k1)[..., None, None]
+        k2 = np.asarray(self.k2)[..., None, None]
+        return (k1 * (self.x1[..., :, None] * self.y1[..., None, :])
+                + k2 * (self.x2[..., :, None] * self.y2[..., None, :]))
 
 
 @dataclass(frozen=True)
 class EntanglementReport:
-    """Every measure of one state, each field computed by its own route."""
+    """Every measure of one state, each field computed by its own route.
+
+    For a stack of states every field is an array with one entry per state.
+    """
 
     c_amplitude: float
     c_bloch: float
@@ -131,61 +170,100 @@ def embed_qutrit(psi: PureState) -> PureState:
     """View a qubit-qubit state as qubit-qutrit by appending a zero column."""
     if psi.d_b == 3:
         return psi
-    padded = np.zeros((2, 3), dtype=complex)
-    padded[:, :2] = psi.amplitudes
+    padded = np.zeros(psi.amplitudes.shape[:-1] + (3,), dtype=complex)
+    padded[..., :2] = psi.amplitudes
     return PureState(padded)
 
 
-def concurrence_amplitudes(psi: PureState) -> float:
+def concurrence_amplitudes(psi: PureState):
     """Concurrence from the 2x2 minors of the amplitude grid.
 
     Twice the root-sum-square of the moduli of all 2x2 minors; for a 2x2
     state there is a single minor and this reduces to ``2 |a00 a11 - a01 a10|``.
     """
-    a = psi.amplitudes
+    # re[j, i] is the real part of a[..., i, j]: a NumPy scalar for one state.
+    re, im = psi.amplitudes.real.T, psi.amplitudes.imag.T
+
+    def product(i1, j1, i2, j2):
+        # a[i1, j1] * a[i2, j2] in real arithmetic, as NumPy's scalar complex
+        # multiply rounds it (the array multiply fuses and rounds differently).
+        ur, ui, vr, vi = re[j1, i1], im[j1, i1], re[j2, i2], im[j2, i2]
+        return ur * vr - ui * vi, ur * vi + ui * vr
+
+    minors_re, minors_im = [], []
+    for i, j in ((0, 1),) if psi.d_b == 2 else ((0, 1), (2, 0), (1, 2)):
+        p_re, p_im = product(0, i, 1, j)
+        q_re, q_im = product(0, j, 1, i)
+        minors_re.append(p_re - q_re)
+        minors_im.append(p_im - q_im)
+    # |m| as NumPy's scalar modulus computes it, and |m|**2 as libm pow does.
+    moduli = np.hypot(np.array(minors_re), np.array(minors_im))
     if psi.d_b == 2:
-        return min(1.0, 2.0 * abs(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]))
-    m01 = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    m20 = a[0, 2] * a[1, 0] - a[0, 0] * a[1, 2]
-    m12 = a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]
-    c = 2.0 * math.sqrt(abs(m01) ** 2 + abs(m20) ** 2 + abs(m12) ** 2)
-    return min(1.0, c)
+        c = 2.0 * moduli[0]
+    else:
+        squares = np.float_power(moduli, 2.0)
+        c = 2.0 * np.sqrt((squares[0] + squares[1]) + squares[2])
+    return _out(np.minimum(1.0, c))
 
 
-def concurrence_bloch(psi: PureState) -> float:
+def concurrence_bloch(psi: PureState | CoherenceDecomposition):
     """Concurrence from the qubit Bloch vector, ``sqrt(1 - |u|**2)``.
 
     ``u`` comes from the coherence-vector codec applied to the state's
-    projector; qubit-qubit states are embedded as qubit-qutrit first.  The
-    argument of the root is clamped at zero against rounding.
+    projector; qubit-qubit states are embedded as qubit-qutrit first.  A
+    caller that already holds that codec output may pass it instead of the
+    state.  The argument of the root is clamped at zero against rounding.
     """
-    coeffs = decompose(embed_qutrit(psi).density())
-    u_sq = float(coeffs.u @ coeffs.u)
-    return math.sqrt(max(0.0, 1.0 - u_sq))
+    if isinstance(psi, CoherenceDecomposition):
+        coeffs = psi
+    else:
+        coeffs = decompose(embed_qutrit(psi).density())
+    return _out(np.sqrt(np.maximum(0.0, 1.0 - _dots(coeffs.u, coeffs.u))))
 
 
-def _canonical_phase(vec: np.ndarray) -> np.ndarray:
-    """Rotate a global phase so the first non-tiny component is real positive."""
-    for comp in vec:
-        if abs(comp) > PHASE_TOL:
-            return vec * (comp.conjugate() / abs(comp))
-    return vec
+def _canonical_phase(vecs: np.ndarray) -> np.ndarray:
+    """Rotate the global phase of each unit vector along the last axis so its
+    first component above :data:`PHASE_TOL` in modulus is real positive."""
+    mags = np.hypot(vecs.real, vecs.imag)
+    lead = (mags > PHASE_TOL).argmax(axis=-1)
+    if lead.any():
+        flat = lead.reshape(-1) + np.arange(0, vecs.size, vecs.shape[-1])
+        phase = (np.conj(vecs.reshape(-1)[flat]) / mags.reshape(-1)[flat]).reshape(lead.shape)
+    else:
+        phase = np.conj(vecs[..., 0]) / mags[..., 0]
+    return vecs * phase[..., None]
+
+
+_BASIS = {d_b: np.eye(2, d_b, dtype=complex) for d_b in (2, 3)}
+for _basis in _BASIS.values():
+    _basis.setflags(write=False)
 
 
 def _orthonormal_extension(y1: np.ndarray) -> np.ndarray:
-    """First standard basis vector orthonormalized against unit vector ``y1``.
+    """Per row, the first standard basis vector orthonormalized against unit
+    vector ``y1``.
 
     At most one basis vector lies within distance 0.5 of the ray of ``y1``,
-    so the scan always terminates on index 0 or 1.
+    so index 0 or, failing that, index 1 always serves; index 1 is formed
+    only for the rows that need it.
     """
-    for m in range(len(y1)):
-        candidate = np.zeros(len(y1), dtype=complex)
-        candidate[m] = 1.0
-        candidate -= y1 * y1[m].conjugate()
-        residual = np.linalg.norm(candidate)
-        if residual > 0.5:
-            return _canonical_phase(candidate / residual)
-    raise AssertionError("no basis vector is independent of y1")
+    basis = _BASIS[y1.shape[1]]
+    chosen = basis[0] - y1 * np.conj(y1[:, :1])
+    residual = _complex_norms(chosen)
+    retry = residual <= 0.5
+    if retry.any():
+        chosen[retry] = basis[1] - y1[retry] * np.conj(y1[retry, 1:2])
+        residual[retry] = _complex_norms(chosen[retry])
+    return _canonical_phase(chosen / residual[:, None])
+
+
+def _unit(z: np.ndarray) -> np.ndarray:
+    return z / _complex_norms(z)[..., None]
+
+
+def _orthogonal_unit(y2: np.ndarray, y1: np.ndarray) -> np.ndarray:
+    """``y2`` re-orthogonalized against unit ``y1``, normalized."""
+    return _unit(y2 - y1 * _dots(np.conj(y1), y2)[..., None])
 
 
 def schmidt_decompose(psi: PureState) -> SchmidtForm:
@@ -205,85 +283,119 @@ def schmidt_decompose(psi: PureState) -> SchmidtForm:
     :data:`SCHMIDT_ZERO_TOL` is indistinguishable from the eigenvalue noise
     of a product state and is flushed to exactly zero, with the undefined
     ``y2`` completed as the first standard basis vector orthonormalized
-    against ``y1``.
+    against ``y1``.  On a stack each state takes its own branch.
     """
     a = psi.amplitudes
-    rho_a = a @ a.conj().T
-    rho_a = 0.5 * (rho_a + rho_a.conj().T)
+    rho_a = a @ np.conj(a).swapaxes(-1, -2)
+    rho_a = 0.5 * (rho_a + np.conj(rho_a).swapaxes(-1, -2))
     values, vectors = hermitian_eigvecs2(rho_a)
-    k1 = math.sqrt(min(1.0, max(0.0, float(values[0]))))
-    k2 = math.sqrt(min(1.0, max(0.0, float(values[1]))))
-    x1 = _canonical_phase(vectors[:, 0])
-    x2 = _canonical_phase(vectors[:, 1])
+    k = np.sqrt(np.minimum(1.0, np.maximum(0.0, values)))
+    k.setflags(write=False)
+    k1, k2 = k.T
+    x = _canonical_phase(vectors.swapaxes(-1, -2))
+    x1, x2 = x[..., 0, :], x[..., 1, :]
 
-    y1 = a.T @ x1.conj() / k1          # k1 >= 1/sqrt(2), never zero
-    y1 = y1 / np.linalg.norm(y1)
-    if k2 > SCHMIDT_ZERO_TOL:
-        y2 = a.T @ x2.conj() / k2
-        y2 = y2 - y1 * (y1.conj() @ y2)
-        y2 = y2 / np.linalg.norm(y2)
+    # Rows y_i = A^T conj(x_i) / k_i, one BLAS matrix-vector call per row.
+    # k1 >= 1/sqrt(2); a k2 flushed below makes a row that is not used, and
+    # the floor on the divisor keeps it finite.
+    y = np.matmul(a.swapaxes(-1, -2)[..., None, :, :], np.conj(x)[..., None])[..., 0]
+    y = y / np.maximum(k, _TINY)[..., None]
+    y1 = _unit(y[..., 0, :])
+    flush = k2 <= SCHMIDT_ZERO_TOL
+    if flush.any():
+        keep = ~flush
+        k2 = np.where(flush, 0.0, k2)
+        k2.setflags(write=False)
+        y2 = np.empty_like(y1)
+        y2[flush] = _orthonormal_extension(y1[flush])
+        if keep.any():
+            y2[keep] = _orthogonal_unit(y[keep, 1, :], y1[keep])
     else:
-        k2 = 0.0
-        y2 = _orthonormal_extension(y1)
+        y2 = _orthogonal_unit(y[..., 1, :], y1)
 
     for arr in (x1, x2, y1, y2):
         arr.setflags(write=False)
-    return SchmidtForm(k1=k1, k2=k2, x1=x1, x2=x2, y1=y1, y2=y2)
+    return SchmidtForm(k1=_out(k1), k2=_out(k2), x1=x1, x2=x2, y1=y1, y2=y2)
 
 
-def concurrence_schmidt(form: SchmidtForm) -> float:
+def concurrence_schmidt(form: SchmidtForm):
     """Concurrence from the Schmidt coefficients, ``2 k1 k2``."""
-    return min(1.0, 2.0 * form.k1 * form.k2)
+    return _out(np.minimum(1.0, 2.0 * form.k1 * form.k2))
 
 
-def binary_entropy(x: float) -> float:
-    """Entropy in bits of the distribution ``(x, 1 - x)``.
+def _require_unit_interval(x: np.ndarray, what: str) -> None:
+    outside = (x < -DOMAIN_TOL) | (x > 1.0 + DOMAIN_TOL)
+    if outside.any():
+        bad = float(np.ravel(x)[np.ravel(outside)][0])
+        raise ValidationError(f"{what} {bad!r} is outside [0, 1]")
+
+
+def _bits(distribution) -> float:
+    """``-sum p log2 p`` of one distribution, in order, skipping ``p = 0``."""
+    total = 0.0
+    for p in distribution:
+        if p > 0.0:
+            total -= p * math.log2(p)
+    return total
+
+
+def _entropies(rows, shape) -> np.ndarray:
+    """:func:`_bits` of each row, as an array of ``shape``.
+
+    The ``p log2 p`` terms stay per element in Python with ``math.log2``:
+    NumPy's SIMD log2 differs from libm's in the last bit.
+    """
+    return np.array([_bits(row) for row in rows]).reshape(shape)
+
+
+def _binary_entropies(x: np.ndarray):
+    """:func:`binary_entropy` of each element of ``x``, already in [0, 1]."""
+    return _out(_entropies(((p, 1.0 - p) for p in np.ravel(x).tolist()), np.shape(x)))
+
+
+def binary_entropy(x):
+    """Entropy in bits of the distribution ``(x, 1 - x)``, elementwise.
 
     The endpoint convention ``0 log 0 = 0`` applies; inputs within
     :data:`DOMAIN_TOL` outside [0, 1] are clamped, anything further out is a
     domain error.
     """
-    if x < -DOMAIN_TOL or x > 1.0 + DOMAIN_TOL:
-        raise ValidationError(f"binary entropy argument {x!r} is outside [0, 1]")
-    x = min(1.0, max(0.0, x))
-    if x == 0.0 or x == 1.0:
-        return 0.0
-    return -(x * math.log2(x) + (1.0 - x) * math.log2(1.0 - x))
+    x = np.asarray(x, dtype=float)[()]
+    _require_unit_interval(x, "binary entropy argument")
+    return _binary_entropies(np.minimum(1.0, np.maximum(0.0, x)))
 
 
-def eof_from_concurrence(c: float) -> float:
-    """Entanglement of formation of a pure state with concurrence ``c``.
+def eof_from_concurrence(c):
+    """Entanglement of formation of a pure state with concurrence ``c``, elementwise.
 
     ``h((1 + sqrt(1 - c**2)) / 2)`` with the root argument clamped at zero;
     strictly increasing from 0 at ``c = 0`` to 1 at ``c = 1``.
     """
-    if c < -DOMAIN_TOL or c > 1.0 + DOMAIN_TOL:
-        raise ValidationError(f"concurrence {c!r} is outside [0, 1]")
-    c = min(1.0, max(0.0, c))
-    return binary_entropy(0.5 * (1.0 + math.sqrt(max(0.0, 1.0 - c * c))))
+    c = np.asarray(c, dtype=float)[()]
+    _require_unit_interval(c, "concurrence")
+    c = np.minimum(1.0, np.maximum(0.0, c))
+    return _binary_entropies(0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))))
 
 
-def von_neumann_entropy(rho: DensityMatrix) -> float:
+def von_neumann_entropy(rho: DensityMatrix):
     """Entropy in bits of a dimension-2 or dimension-3 density matrix.
 
     Eigenvalues come from the closed-form solvers and are clamped to [0, 1]
-    before the ``p log2 p`` sum.
+    before the ``p log2 p`` sum.  A stack of matrices gives one entropy each;
+    dimension 3 is solved one matrix at a time.
     """
     if not isinstance(rho, DensityMatrix) or rho.dim not in (2, 3):
         raise ValidationError("entropy expects a DensityMatrix of dimension 2 or 3")
+    mat = rho.matrix
     # DensityMatrix tolerates a larger hermiticity deviation than the
     # eigensolvers; hand them the exactly Hermitian part.
-    matrix = 0.5 * (rho.matrix + rho.matrix.conj().T)
+    matrix = 0.5 * (mat + np.conj(mat).swapaxes(-1, -2))
     if rho.dim == 2:
         eigenvalues = hermitian_eig2(matrix)
     else:
-        eigenvalues = hermitian_eig3(matrix)
-    total = 0.0
-    for p in eigenvalues:
-        p = min(1.0, max(0.0, p))
-        if p > 0.0:
-            total -= p * math.log2(p)
-    return total
+        eigenvalues = [hermitian_eig3(m) for m in matrix.reshape(-1, 3, 3)]
+    p = np.minimum(1.0, np.maximum(0.0, eigenvalues))
+    return _out(_entropies(p.reshape(-1, rho.dim).tolist(), mat.shape[:-2]))
 
 
 def full_report(psi: PureState) -> EntanglementReport:
@@ -293,21 +405,21 @@ def full_report(psi: PureState) -> EntanglementReport:
     entanglement of formation (from the amplitude-route concurrence) and the
     subsystem entropy are all evaluated independently so that any
     disagreement between them is visible to the verification layer rather
-    than masked here.
+    than masked here.  The codec output behind ``c_bloch`` also gives the
+    coherence norms.  A stack of states gives a report of arrays.
     """
-    embedded = embed_qutrit(psi)
-    rho_ab = embedded.density()
+    rho_ab = embed_qutrit(psi).density()
     coeffs = decompose(rho_ab)
     form = schmidt_decompose(psi)
     c_amp = concurrence_amplitudes(psi)
     return EntanglementReport(
         c_amplitude=c_amp,
-        c_bloch=concurrence_bloch(psi),
+        c_bloch=concurrence_bloch(coeffs),
         c_schmidt=concurrence_schmidt(form),
         eof=eof_from_concurrence(c_amp),
         vn_entropy_a=von_neumann_entropy(reduced_a(rho_ab)),
-        u_norm=float(np.linalg.norm(coeffs.u)),
-        v_norm=float(np.linalg.norm(coeffs.v)),
+        u_norm=_out(np.sqrt(_dots(coeffs.u, coeffs.u))),
+        v_norm=_out(np.sqrt(_dots(coeffs.v, coeffs.v))),
         k1=form.k1,
         k2=form.k2,
     )

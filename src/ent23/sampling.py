@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import require_finite
+from .linalg import _complex_norms, require_finite
 from .measures import PureState
 from .rng import RandomStream
 
@@ -35,11 +35,10 @@ def haar_random(dims: tuple[int, int], stream: RandomStream) -> PureState:
     d_a, d_b = dims
     if d_a != 2 or d_b not in (2, 3):
         raise ValidationError(f"supported dims are (2, 2) and (2, 3), got {dims}")
-    amp = np.empty((2, d_b), dtype=complex)
-    for i in range(2):
-        for j in range(d_b):
-            amp[i, j] = complex(stream.next_gaussian(), stream.next_gaussian())
-    return PureState(amp / np.linalg.norm(amp))
+    amp = np.array([complex(stream.next_gaussian(), stream.next_gaussian())
+                    for _ in range(2 * d_b)])
+    # _complex_norms makes the BLAS calls np.linalg.norm makes, for less overhead.
+    return PureState(amp.reshape(2, d_b) / _complex_norms(amp))
 
 
 def product_state(phi_a, phi_b) -> PureState:

@@ -146,7 +146,7 @@ def _examine_state(psi: PureState, worst: _Worst, fragile: bool = True) -> dict:
 
     worst.update("concurrence-range", _range_violation(c_amp))
     if fragile:
-        c_blo = concurrence_bloch(psi)
+        c_blo = concurrence_bloch(coeffs)
         c_sch = concurrence_schmidt(form)
         s_a = von_neumann_entropy(rho_a)
         s_b = von_neumann_entropy(rho_b)

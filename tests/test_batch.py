@@ -1,0 +1,176 @@
+"""A stack of states gives, element for element, the bits of one call per state."""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from ent23 import (
+    DensityMatrix,
+    EntanglementReport,
+    PureState,
+    RandomStream,
+    ValidationError,
+    binary_entropy,
+    concurrence_amplitudes,
+    concurrence_bloch,
+    concurrence_schmidt,
+    decompose,
+    eof_from_concurrence,
+    full_report,
+    haar_random,
+    hermitian_eig2,
+    hermitian_eigvecs2,
+    product_state,
+    random_unitary,
+    reduced_a,
+    rotate_local,
+    schmidt_decompose,
+    schmidt_pair_state,
+    von_neumann_entropy,
+)
+
+FIELDS = [field.name for field in dataclasses.fields(EntanglementReport)]
+SCHMIDT_GRID = (1.0 / math.sqrt(2.0), 0.75, math.sqrt(3.0) / 2.0, 0.9, 0.97, 1.0)
+
+
+def unit(vec):
+    return vec / np.linalg.norm(vec)
+
+
+def family_stack(d_b, seed=2006):
+    """Every branch of the kernels in one stack: Haar, product (k2 flush and
+    orthonormal extension), near-product, rotated Bell (degenerate qubit
+    spectrum) and the two-term grid including the product point k1 = 1."""
+    stream = RandomStream(seed)
+    gauss = lambda n: np.array([complex(stream.next_gaussian(), stream.next_gaussian())
+                                for _ in range(n)])
+    states = [haar_random((2, d_b), stream) for _ in range(40)]
+    states += [product_state(unit(gauss(2)), unit(gauss(d_b))) for _ in range(10)]
+    states.append(product_state(np.array([1, 0]), np.eye(d_b)[0]))
+    states.append(product_state(np.array([0, 1]), np.eye(d_b)[1]))
+    for exponent in range(2, 10):
+        k2 = 10.0 ** -exponent
+        states.append(rotate_local(schmidt_pair_state(math.sqrt(1.0 - k2 * k2), d_b),
+                                   random_unitary(2, stream), random_unitary(d_b, stream)))
+    for _ in range(5):
+        states.append(rotate_local(schmidt_pair_state(SCHMIDT_GRID[0], d_b),
+                                   random_unitary(2, stream), random_unitary(d_b, stream)))
+    states += [schmidt_pair_state(k1, d_b) for k1 in SCHMIDT_GRID]
+    return states
+
+
+def same(a, b):
+    return np.array_equal(np.asarray(a), np.asarray(b))
+
+
+@pytest.mark.parametrize("d_b", (2, 3))
+def test_stacked_full_report_equals_per_state_calls(d_b):
+    states = family_stack(d_b)
+    stacked = full_report(PureState(np.stack([psi.amplitudes for psi in states])))
+    for index, psi in enumerate(states):
+        single = full_report(psi)
+        for name in FIELDS:
+            value = getattr(single, name)
+            assert type(value) is float
+            assert getattr(stacked, name)[index] == value, (name, index)
+
+
+@pytest.mark.parametrize("d_b", (2, 3))
+def test_stacked_schmidt_form_equals_per_state_calls(d_b):
+    states = family_stack(d_b)
+    stacked = schmidt_decompose(PureState(np.stack([psi.amplitudes for psi in states])))
+    flushed = 0
+    for index, psi in enumerate(states):
+        single = schmidt_decompose(psi)
+        assert stacked.k1[index] == single.k1
+        assert stacked.k2[index] == single.k2
+        flushed += single.k2 == 0.0
+        for name in ("x1", "x2", "y1", "y2"):
+            assert same(getattr(stacked, name)[index], getattr(single, name)), (name, index)
+    assert flushed >= 12  # the product states and k1 = 1 take the flush branch
+
+
+@pytest.mark.parametrize("d_b", (2, 3))
+def test_stacked_routes_equal_per_state_calls(d_b):
+    states = family_stack(d_b)
+    stack = PureState(np.stack([psi.amplitudes for psi in states]))
+    c_amp = concurrence_amplitudes(stack)
+    c_blo = concurrence_bloch(stack)
+    c_sch = concurrence_schmidt(schmidt_decompose(stack))
+    for index, psi in enumerate(states):
+        assert c_amp[index] == concurrence_amplitudes(psi)
+        assert c_blo[index] == concurrence_bloch(psi)
+        assert c_sch[index] == concurrence_schmidt(schmidt_decompose(psi))
+        # full_report hands the Bloch route the codec output it already holds
+        assert full_report(psi).c_bloch == concurrence_bloch(psi)
+
+
+def test_stacked_codec_and_reduced_state_equal_per_state_calls():
+    states = family_stack(3)
+    rho = PureState(np.stack([psi.amplitudes for psi in states])).density()
+    coeffs = decompose(rho)
+    rho_a = reduced_a(rho)
+    entropies = von_neumann_entropy(rho_a)
+    for index, psi in enumerate(states):
+        single = psi.density()
+        assert same(rho.matrix[index], single.matrix)
+        one = decompose(single)
+        for name in ("u", "v", "beta"):
+            assert same(getattr(coeffs, name)[index], getattr(one, name))
+        assert same(rho_a.matrix[index], reduced_a(single).matrix)
+        assert entropies[index] == von_neumann_entropy(reduced_a(single))
+
+
+def test_stacked_eig2_covers_zero_and_degenerate_matrices():
+    rng = np.random.default_rng(5)
+    matrices = [np.zeros((2, 2)), np.eye(2) / 2, np.diag([1.0, 0.0]), np.full((2, 2), 0.5)]
+    for _ in range(50):
+        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        matrices.append(0.5 * (m + m.conj().T))
+    stack = np.stack(matrices).astype(complex)
+    values = hermitian_eig2(stack)
+    vec_values, vectors = hermitian_eigvecs2(stack)
+    for index, m in enumerate(matrices):
+        assert tuple(values[index]) == hermitian_eig2(m)
+        one_values, one_vectors = hermitian_eigvecs2(m)
+        assert same(vec_values[index], one_values)
+        assert same(vectors[index], one_vectors)
+    assert hermitian_eig2(np.zeros((2, 2))) == (0.0, 0.0)
+    assert same(vectors[1], np.eye(2))
+
+
+def test_elementwise_entropies_equal_scalar_calls():
+    xs = np.concatenate([np.linspace(0.0, 1.0, 101), [1e-300, 1.0 - 1e-16]])
+    assert same(binary_entropy(xs), [binary_entropy(float(x)) for x in xs])
+    assert same(eof_from_concurrence(xs), [eof_from_concurrence(float(x)) for x in xs])
+    assert type(eof_from_concurrence(0.5)) is float
+
+
+def test_stack_with_one_unnormalized_state_is_rejected():
+    amps = np.stack([psi.amplitudes for psi in family_stack(3)])
+    amps[7] *= 1.001
+    with pytest.raises(ValidationError, match="item 7"):
+        PureState(amps)
+
+
+def test_stack_with_one_nan_is_rejected():
+    amps = np.stack([psi.amplitudes for psi in family_stack(2)])
+    amps[3, 1, 0] = complex(np.nan, 0.0)
+    with pytest.raises(ValidationError):
+        PureState(amps)
+
+
+def test_stacked_density_checks_every_matrix():
+    good = np.stack([np.eye(2) / 2, np.diag([1.0, 0.0])])
+    DensityMatrix(good)
+    for bad in (np.diag([1.5, -0.5]), np.diag([0.6, 0.6]), np.array([[0.5, 0.1], [0.0, 0.5]])):
+        with pytest.raises(ValidationError):
+            DensityMatrix(np.concatenate([good, bad[None]]))
+
+
+@pytest.mark.parametrize("shape", ((3, 3), (4, 3, 3), (4, 2, 4), (0, 2, 3), (2, 2, 2, 3)))
+def test_unsupported_shapes_are_rejected(shape):
+    with pytest.raises(ValidationError):
+        PureState(np.ones(shape) / math.sqrt(max(1, np.prod(shape[-2:]))))

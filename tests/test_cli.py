@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -11,6 +12,15 @@ STATES_DIR = Path(__file__).resolve().parent.parent / "states"
 
 C_TRIPLE = 0.9428090415820634
 E_TRIPLE = 0.9182958340544896
+
+#: sha256 of ``ent23 sample --n N --seed S`` output, keyed by ``(N, S)``.  The
+#: first two are the digests the benchmark pins; 1001 states cross the
+#: sampler's chunk boundary and leave a remainder chunk.
+GOLDEN_SAMPLE_DIGESTS = {
+    (250, 42): "7a6ad4e4dd7d15db5e8631d2da4f56be40b15cee3d270fcde271253f452bf02f",
+    (250, 20061): "e850525425a08d074e563a016eefe21cb1fd84b7415673e1b00ef49ccda41dc0",
+    (1001, 7): "a002e8210a1166fb013be1bd040921a46fc32c01729909e811854922bcb4b206",
+}
 
 
 def run(argv, capsys):
@@ -181,3 +191,22 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("index,c,eof")
+
+
+@pytest.mark.parametrize(("n", "seed"), sorted(GOLDEN_SAMPLE_DIGESTS))
+def test_sample_matches_golden_digest(tmp_path, capsys, n, seed):
+    path = tmp_path / "sample.csv"
+    assert main(["sample", "--n", str(n), "--seed", str(seed), "--out", str(path)]) == 0
+    capsys.readouterr()
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == GOLDEN_SAMPLE_DIGESTS[(n, seed)]
+
+
+def test_sample_stdout_bytes_equal_file_bytes(tmp_path):
+    path = tmp_path / "sample.csv"
+    argv = [sys.executable, "-m", "ent23", "sample", "--n", "501", "--seed", "11"]
+    to_file = subprocess.run(argv + ["--out", str(path)], capture_output=True, check=False)
+    to_stdout = subprocess.run(argv + ["--out", "-"], capture_output=True, check=False)
+    assert to_file.returncode == 0 and to_file.stdout == b""
+    assert to_stdout.returncode == 0
+    assert to_stdout.stdout == path.read_bytes()
