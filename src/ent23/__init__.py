@@ -40,10 +40,7 @@ from .measures import (
 )
 from .rng import RandomStream
 from .sampling import (
-    StateFamily,
-    StateFamilySpec,
     haar_random,
-    make_state,
     product_state,
     random_unitary,
     rotate_local,
@@ -65,8 +62,6 @@ __all__ = [
     "PureState",
     "RandomStream",
     "SchmidtForm",
-    "StateFamily",
-    "StateFamilySpec",
     "StateFileError",
     "UnsupportedDimensionError",
     "ValidationError",
@@ -83,7 +78,6 @@ __all__ = [
     "hermitian_eig2",
     "hermitian_eig3",
     "hermitian_eigvecs2",
-    "make_state",
     "parse_state_file",
     "product_state",
     "random_unitary",

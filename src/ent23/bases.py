@@ -206,16 +206,17 @@ def decompose(rho) -> CoherenceDecomposition:
 
 
 def reconstruct(coeffs: CoherenceDecomposition) -> np.ndarray:
-    """Rebuild the 6x6 matrix encoded by ``coeffs``.
+    """Rebuild the 6x6 matrix encoded by ``coeffs``, or the ``(N, 6, 6)``
+    stack encoded by stacked coefficients.
 
     The result is Hermitian with unit trace by construction.  Positivity is
     not checked: arbitrary coefficients need not describe a physical state.
     Wrap the result in :class:`DensityMatrix` when a validated state is needed.
     """
     mat = (_ID6
-           + np.einsum("k,kab->ab", coeffs.u, _QUBIT_OPS)
-           + _SQRT3 * np.einsum("k,kab->ab", coeffs.v, _QUTRIT_OPS)
-           + np.einsum("kj,kjab->ab", coeffs.beta, _PAIR_OPS))
+           + np.einsum("...k,kab->...ab", coeffs.u, _QUBIT_OPS)
+           + _SQRT3 * np.einsum("...k,kab->...ab", coeffs.v, _QUTRIT_OPS)
+           + np.einsum("...kj,kjab->...ab", coeffs.beta, _PAIR_OPS))
     return mat / 6.0
 
 

@@ -10,25 +10,19 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import ConsistencyError, StateFileError, ValidationError
-from .measures import EntanglementReport, PureState, full_report
+from .measures import EntanglementReport, full_report
 from .rng import RandomStream
-from .sampling import haar_random
+from .sampling import haar_chunks
 from .statefile import parse_state_file
 from .verify import VerifyOutcome, run_verification
 
 _CSV_HEADER = "index,c,eof,u_norm,v_norm,k1,k2"
-
-#: States drawn, stacked and measured together by ``sample``; each chunk's
-#: rows are written before the next chunk is drawn.  The output does not
-#: depend on it: a stacked call gives the same bits as one call per state.
-SAMPLE_CHUNK = 250
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
@@ -80,17 +74,17 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _write_sample(args: argparse.Namespace, out) -> None:
-    stream = RandomStream(args.seed)
+    # Each chunk's rows are written before the next chunk is drawn.
     out.write(_CSV_HEADER + "\n")
-    for start in range(0, args.n, SAMPLE_CHUNK):
-        count = min(SAMPLE_CHUNK, args.n - start)
-        chunk = np.stack([haar_random((2, 3), stream).amplitudes for _ in range(count)])
-        rep = full_report(PureState(chunk))
+    start = 0
+    for chunk in haar_chunks((2, 3), RandomStream(args.seed), args.n):
+        rep = full_report(chunk)
         columns = (rep.c_amplitude, rep.eof, rep.u_norm, rep.v_norm, rep.k1, rep.k2)
         rows = zip(*(column.tolist() for column in columns))
         out.write("".join(
             str(start + offset) + "," + ",".join(format(x, ".12g") for x in row) + "\n"
             for offset, row in enumerate(rows)))
+        start += len(rep.k1)
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
@@ -116,7 +110,9 @@ def _nonnegative_float(text: str) -> float:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``ent23`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ent23",
         description="Entanglement measures for qubit-qubit and qubit-qutrit "

@@ -13,7 +13,7 @@ sequence for a given seed is reproducible bit-for-bit wherever ``log``,
 libm; the test suite pins a golden sequence to detect drift.
 
 Streams are plain mutable values.  Concurrent samplers must not share one
-stream; shard by deriving per-worker streams with :meth:`RandomStream.derive`.
+stream, and there is no split operation: give each sampler its own seed.
 """
 
 from __future__ import annotations
@@ -56,7 +56,3 @@ class RandomStream:
         u = ((self._next_word() >> 11) + 1) * _INV_2_53   # in (0, 1], log-safe
         v = (self._next_word() >> 11) * _INV_2_53          # in [0, 1)
         return math.sqrt(-2.0 * math.log(u)) * math.cos(2.0 * math.pi * v)
-
-    def derive(self, index: int) -> "RandomStream":
-        """Independent stream for shard ``index`` (distinct indices per shard)."""
-        return RandomStream((self.seed + index) & _MASK64)

@@ -1,58 +1,82 @@
 """Deterministic generators for random and canonical test states.
 
 Everything here is a pure function of an explicit :class:`RandomStream`, so an
-ensemble is reproducible from its seed alone and shards can be generated
-independently by deriving per-shard streams.
+ensemble is reproducible from its seed alone.  The states of one ensemble are
+drawn from one stream in order; there is no split operation, so ensembles
+generated side by side each need a seed of their own.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import _complex_norms, require_finite
-from .measures import PureState
+from .linalg import require_finite
+from .measures import PureState, _unit
 from .rng import RandomStream
 
 #: Tolerance on the norm of the factors passed to :func:`product_state`.
 FACTOR_NORM_TOL = 1e-9
 
+#: Random states that :func:`haar_chunks` draws, stacks and hands on at a
+#: time (``ent23 sample`` and ``ent23 verify``).  No output depends on it: a
+#: stacked call gives the same bits as one call per state.
+CHUNK_STATES = 250
+
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def haar_random(dims: tuple[int, int], stream: RandomStream) -> PureState:
-    """Uniform (unitarily invariant) random pure state of shape ``dims``.
+def _complex_gaussians(stream: RandomStream, count: int) -> np.ndarray:
+    """``count`` standard complex Gaussians, each two stream draws, real part first."""
+    return np.array([stream.next_gaussian() for _ in range(2 * count)]).view(complex)
 
-    Each amplitude is an independent standard complex Gaussian (two stream
-    draws, real part first, row-major order) and the grid is normalized as a
-    whole; that construction is exactly the uniform measure on the unit
-    sphere of the state space.
+
+def haar_random(dims: tuple[int, int], stream: RandomStream, n: int | None = None) -> PureState:
+    """Uniform (unitarily invariant) random pure state of shape ``dims``, or a
+    stack of ``n`` of them drawn one after another.
+
+    Each amplitude is an independent standard complex Gaussian (row-major
+    order) and each grid is normalized as a whole; that construction is
+    exactly the uniform measure on the unit sphere of the state space.  A
+    stack holds the bits of ``n`` one-state calls on the same stream and
+    leaves the stream where they would.
     """
     d_a, d_b = dims
     if d_a != 2 or d_b not in (2, 3):
         raise ValidationError(f"supported dims are (2, 2) and (2, 3), got {dims}")
-    amp = np.array([complex(stream.next_gaussian(), stream.next_gaussian())
-                    for _ in range(2 * d_b)])
-    # _complex_norms makes the BLAS calls np.linalg.norm makes, for less overhead.
-    return PureState(amp.reshape(2, d_b) / _complex_norms(amp))
+    count = 1 if n is None else n
+    if count < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    amp = _complex_gaussians(stream, 2 * d_b * count).reshape(count, 2 * d_b)
+    # Divides by np.linalg.norm of each grid, bit for bit, for less overhead.
+    grids = _unit(amp).reshape(count, 2, d_b)
+    return PureState(grids if n is not None else grids[0])
+
+
+def haar_chunks(dims: tuple[int, int], stream: RandomStream, n: int):
+    """The ``n`` states of ``haar_random(dims, stream, n)`` as stacks of at
+    most :data:`CHUNK_STATES`, each drawn when the previous one is done with."""
+    for start in range(0, n, CHUNK_STATES):
+        yield haar_random(dims, stream, min(CHUNK_STATES, n - start))
 
 
 def product_state(phi_a, phi_b) -> PureState:
-    """Tensor product of a qubit vector and a qubit/qutrit vector."""
+    """Tensor product of a qubit vector and a qubit/qutrit vector, or of each
+    pair of a stack of factors ``(N, 2)`` and ``(N, d_b)``."""
     a = require_finite(np.asarray(phi_a, dtype=complex), "phi_a")
     b = require_finite(np.asarray(phi_b, dtype=complex), "phi_b")
-    if a.shape != (2,) or b.shape not in ((2,), (3,)):
+    if (a.shape[-1:] != (2,) or b.shape[-1:] not in ((2,), (3,))
+            or a.shape[:-1] != b.shape[:-1] or a.ndim > 2):
         raise ValidationError(
-            f"expected factor shapes (2,) and (2,) or (3,), got {a.shape}, {b.shape}"
+            f"expected factor shapes (2,) and (2,) or (3,), each with the same optional "
+            f"leading stack axis; got {a.shape}, {b.shape}"
         )
     for vec, name in ((a, "phi_a"), (b, "phi_b")):
-        if abs(np.linalg.norm(vec) - 1.0) > FACTOR_NORM_TOL:
+        if np.any(abs(np.linalg.norm(vec, axis=-1) - 1.0) > FACTOR_NORM_TOL):
             raise ValidationError(f"{name} is not normalized")
-    return PureState(np.outer(a, b))
+    return PureState(a[..., :, None] * b[..., None, :])
 
 
 def schmidt_pair_state(k1: float, d_b: int = 3) -> PureState:
@@ -74,57 +98,12 @@ def schmidt_pair_state(k1: float, d_b: int = 3) -> PureState:
 
 def random_unitary(dim: int, stream: RandomStream) -> np.ndarray:
     """Haar-distributed unitary: QR of a complex Gaussian matrix, phases fixed."""
-    z = np.empty((dim, dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            z[i, j] = complex(stream.next_gaussian(), stream.next_gaussian())
-    q, r = np.linalg.qr(z)
+    q, r = np.linalg.qr(_complex_gaussians(stream, dim * dim).reshape(dim, dim))
     diag = np.diagonal(r)
     return q * (diag / np.abs(diag))
 
 
 def rotate_local(psi: PureState, u_a: np.ndarray, u_b: np.ndarray) -> PureState:
-    """Apply the product unitary ``u_a (x) u_b`` to a pure state."""
-    return PureState(u_a @ psi.amplitudes @ u_b.T)
-
-
-class StateFamily(Enum):
-    HAAR = "haar"
-    PRODUCT = "product"
-    MAXIMALLY_ENTANGLED = "maximally_entangled"
-    SCHMIDT_PAIR = "schmidt_pair"
-
-
-@dataclass(frozen=True)
-class StateFamilySpec:
-    """Recipe for one test state: a family plus its parameter, if any."""
-
-    kind: StateFamily
-    k1: float | None = None
-    seed: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind is StateFamily.SCHMIDT_PAIR:
-            if self.k1 is None:
-                raise ValidationError("schmidt_pair requires k1")
-            if not (_INV_SQRT2 - 1e-12 <= self.k1 <= 1.0 + 1e-12):
-                raise ValidationError(f"k1 must lie in [1/sqrt(2), 1], got {self.k1!r}")
-
-
-def make_state(spec: StateFamilySpec, stream: RandomStream | None = None,
-               d_b: int = 3) -> PureState:
-    """Realize a :class:`StateFamilySpec`; random kinds draw from ``stream``."""
-    if spec.kind is StateFamily.SCHMIDT_PAIR:
-        return schmidt_pair_state(spec.k1, d_b=d_b)
-    if spec.kind is StateFamily.MAXIMALLY_ENTANGLED:
-        return schmidt_pair_state(_INV_SQRT2, d_b=d_b)
-    if stream is None:
-        stream = RandomStream(spec.seed if spec.seed is not None else 0)
-    if spec.kind is StateFamily.HAAR:
-        return haar_random((2, d_b), stream)
-    phi_a = np.array([complex(stream.next_gaussian(), stream.next_gaussian())
-                      for _ in range(2)])
-    phi_b = np.array([complex(stream.next_gaussian(), stream.next_gaussian())
-                      for _ in range(d_b)])
-    return product_state(phi_a / np.linalg.norm(phi_a),
-                         phi_b / np.linalg.norm(phi_b))
+    """Apply the product unitary ``u_a (x) u_b`` to a pure state; on a stack,
+    unitaries ``(N, 2, 2)`` and ``(N, d_b, d_b)`` rotate each state with its own."""
+    return PureState(u_a @ psi.amplitudes @ np.swapaxes(u_b, -1, -2))

@@ -1,19 +1,28 @@
 """Cross-formula verification over random ensembles.
 
 Each named check records the worst error it observes across an ensemble of
-uniform random qubit-qutrit states plus canonical families (product states,
-rotated maximally entangled states, and the two-term diagonal family).  A
-check passes when that maximum stays within its tolerance; the floating-point
+uniform random qubit-qutrit states plus canonical families (rotated maximally
+entangled states, the two-term diagonal family and product states).  A check
+passes when that maximum stays within its tolerance; the floating-point
 checks all share the caller's tolerance, while the one statistical check (the
 ensemble purity mean) carries its own Monte-Carlo bound.
 
-Canonical families feed only the checks that are numerically meaningful for
-them: the Bloch- and Schmidt-route concurrences and the subsystem entropies
-take square roots of quantities that vanish on rank-deficient reduced states,
-where rounding noise is amplified to ~1e-8.  Random states never enter that
-regime, exact diagonal states evaluate exactly, but generic product states do
-sit on it, so they are checked through the robust routes only (amplitude
-concurrence, coherence-vector norms, codec round trips).
+Every family is drawn from the seed's stream in a fixed order and checked as
+one stack: each check computes an error per state and keeps the largest.  The
+random ensemble is drawn and checked in chunks of
+:data:`ent23.sampling.CHUNK_STATES` states, so memory does not grow with
+``n_states``.  The chunk size never changes the outcome, because a stacked
+call gives every state the bits of a call on that state alone (the module
+notes of :mod:`ent23.linalg` list the NumPy calls avoided for that).
+
+The Bloch- and Schmidt-route concurrences and the subsystem entropies take
+square roots of quantities that vanish on rank-deficient reduced states,
+where rounding noise is amplified to ~1e-8.  A per-state mask keeps the
+states on that boundary -- the product states and the k1 = 1 point of the
+two-term family -- out of those comparisons; they are checked through the
+robust routes only (amplitude concurrence, coherence-vector norms, codec
+round trips).  Random states never come near the boundary, and the other
+two-term states evaluate exactly.
 """
 
 from __future__ import annotations
@@ -25,8 +34,10 @@ import numpy as np
 
 from .bases import decompose, reconstruct, reduced_a, reduced_b, GELL_MANN, PAULI
 from .errors import ValidationError
+from .linalg import _complex_norms, _dots
 from .measures import (
     PureState,
+    _unit,
     concurrence_amplitudes,
     concurrence_bloch,
     concurrence_schmidt,
@@ -36,6 +47,8 @@ from .measures import (
 )
 from .rng import RandomStream
 from .sampling import (
+    _complex_gaussians,
+    haar_chunks,
     haar_random,
     product_state,
     random_unitary,
@@ -106,90 +119,99 @@ class VerifyOutcome:
         raise KeyError(name)
 
 
-class _Worst:
-    """Running maxima keyed by check name."""
-
-    def __init__(self) -> None:
-        self.values: dict[str, float] = {name: 0.0 for name in CHECK_NAMES}
-
-    def update(self, name: str, error: float) -> None:
-        error = float(error)
-        if error > self.values[name]:
-            self.values[name] = error
+def _record(worst: dict[str, float], name: str, errors) -> None:
+    """Fold the largest of a stack's per-state ``errors`` into ``worst[name]``;
+    a NaN error sticks, so its check fails."""
+    largest = float(np.max(errors))
+    worst[name] = largest if math.isnan(largest) else max(worst[name], largest)
 
 
-def _range_violation(value: float) -> float:
-    return max(0.0, -value, value - 1.0)
+def _outside_unit(values: np.ndarray) -> np.ndarray:
+    return np.maximum(0.0, np.maximum(-values, values - 1.0))
 
 
-def _reconstruction_error(psi: PureState, form) -> float:
-    rebuilt = form.reconstruct().reshape(-1)
-    vec = psi.vector()
-    # Distance minimized over a global phase, computed on the difference
-    # vector itself (an expansion into squared norms cancels catastrophically).
-    overlap = np.vdot(rebuilt, vec)
-    if abs(overlap) > 0.0:
-        rebuilt = rebuilt * (overlap / abs(overlap))
-    return float(np.linalg.norm(vec - rebuilt))
+def _check_stack(psi: PureState, worst: dict[str, float], amplified) -> dict:
+    """Record every check that applies to any state of the stack ``psi``.
 
-
-def _examine_state(psi: PureState, worst: _Worst, fragile: bool = True) -> dict:
-    """Run every per-state check; ``fragile=False`` skips the sqrt-amplified ones."""
+    ``amplified`` (a per-state mask, or one bool for the stack) selects the
+    states that also take the sqrt-amplified comparisons.  Returns the
+    per-state quantities the family checks need.
+    """
     c_amp = concurrence_amplitudes(psi)
     form = schmidt_decompose(psi)
     rho = psi.density()
     coeffs = decompose(rho)
     rho_a = reduced_a(rho)
     rho_b = reduced_b(rho)
-    u_norm = float(np.linalg.norm(coeffs.u))
-    v_norm = float(np.linalg.norm(coeffs.v))
+    u_norm = np.sqrt(_dots(coeffs.u, coeffs.u))
+    v_norm = np.sqrt(_dots(coeffs.v, coeffs.v))
 
-    worst.update("concurrence-range", _range_violation(c_amp))
-    if fragile:
-        c_blo = concurrence_bloch(coeffs)
-        c_sch = concurrence_schmidt(form)
-        s_a = von_neumann_entropy(rho_a)
-        s_b = von_neumann_entropy(rho_b)
-        worst.update("concurrence-amplitude-vs-bloch", abs(c_amp - c_blo))
-        worst.update("concurrence-amplitude-vs-schmidt", abs(c_amp - c_sch))
-        worst.update("concurrence-bloch-vs-schmidt", abs(c_blo - c_sch))
-        worst.update("concurrence-range", _range_violation(c_blo))
-        worst.update("concurrence-range", _range_violation(c_sch))
-        worst.update("eof-vs-entropy-a", abs(eof_from_concurrence(c_amp) - s_a))
-        worst.update("entropy-a-vs-entropy-b", abs(s_a - s_b))
-        det_a = float(np.linalg.det(rho_a.matrix).real)
-        worst.update("schmidt-quadratic", abs(4.0 * det_a - c_amp * c_amp))
+    c_blo = concurrence_bloch(coeffs)
+    c_sch = concurrence_schmidt(form)
+    s_a = von_neumann_entropy(rho_a)
+    s_b = von_neumann_entropy(rho_b)
+    det_a = np.linalg.det(rho_a.matrix).real
+    for name, errors in (
+        ("concurrence-amplitude-vs-bloch", abs(c_amp - c_blo)),
+        ("concurrence-amplitude-vs-schmidt", abs(c_amp - c_sch)),
+        ("concurrence-bloch-vs-schmidt", abs(c_blo - c_sch)),
+        ("concurrence-range", np.maximum(_outside_unit(c_blo), _outside_unit(c_sch))),
+        ("eof-vs-entropy-a", abs(eof_from_concurrence(c_amp) - s_a)),
+        ("entropy-a-vs-entropy-b", abs(s_a - s_b)),
+        ("schmidt-quadratic", abs(4.0 * det_a - c_amp * c_amp)),
+    ):
+        _record(worst, name, np.where(amplified, errors, 0.0))
 
-    worst.update("schmidt-normalization",
-                 abs(form.k1 ** 2 + form.k2 ** 2 - 1.0))
-    ortho = max(
-        abs(np.vdot(form.x1, form.x2)),
-        abs(np.vdot(form.y1, form.y2)),
-        abs(np.linalg.norm(form.x1) - 1.0),
-        abs(np.linalg.norm(form.x2) - 1.0),
-        abs(np.linalg.norm(form.y1) - 1.0),
-        abs(np.linalg.norm(form.y2) - 1.0),
-    )
-    worst.update("schmidt-orthonormality", float(ortho))
-    worst.update("schmidt-reconstruction", _reconstruction_error(psi, form))
+    _record(worst, "concurrence-range", _outside_unit(c_amp))
+    # x ** 2 of a float is libm pow, which np.float_power calls (ent23.linalg).
+    _record(worst, "schmidt-normalization",
+            abs(np.float_power(form.k1, 2.0) + np.float_power(form.k2, 2.0) - 1.0))
+    _record(worst, "schmidt-orthonormality", np.maximum.reduce([
+        _modulus(_dots(np.conj(form.x1), form.x2)),
+        _modulus(_dots(np.conj(form.y1), form.y2)),
+        *(abs(_complex_norms(np.ascontiguousarray(vec)) - 1.0)
+          for vec in (form.x1, form.x2, form.y1, form.y2)),
+    ]))
 
-    rebuilt = reconstruct(coeffs)
-    worst.update("codec-round-trip", float(np.max(np.abs(rebuilt - rho.matrix))))
+    # Distance minimized over a global phase, computed on the difference
+    # vector itself (an expansion into squared norms cancels catastrophically).
+    rebuilt = form.reconstruct().reshape(-1, 6)
+    vec = psi.vector()
+    overlap = _dots(np.conj(rebuilt), vec)
+    size = _modulus(overlap)
+    phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0.0)
+    _record(worst, "schmidt-reconstruction",
+            _complex_norms(vec - rebuilt * phase[:, None]))
 
-    expect_a = 0.5 * (np.eye(2) + sum(coeffs.u[i] * PAULI[i] for i in range(3)))
-    expect_b = (np.eye(3) + math.sqrt(3.0)
-                * sum(coeffs.v[j] * GELL_MANN[j] for j in range(8))) / 3.0
-    worst.update("reduced-consistency", float(max(
-        np.max(np.abs(rho_a.matrix - expect_a)),
-        np.max(np.abs(rho_b.matrix - expect_b)),
-    )))
+    _record(worst, "codec-round-trip",
+            np.abs(reconstruct(coeffs) - rho.matrix).max(axis=(1, 2)))
+    expect_a = 0.5 * (np.eye(2) + np.einsum("nk,kab->nab", coeffs.u, PAULI))
+    expect_b = (np.eye(3)
+                + math.sqrt(3.0) * np.einsum("nk,kab->nab", coeffs.v, GELL_MANN)) / 3.0
+    _record(worst, "reduced-consistency", np.maximum(
+        np.abs(rho_a.matrix - expect_a).max(axis=(1, 2)),
+        np.abs(rho_b.matrix - expect_b).max(axis=(1, 2))))
+    _record(worst, "purity-relation",
+            abs(np.float_power(v_norm, 2.0) - (1.0 + 3.0 * np.float_power(u_norm, 2.0)) / 4.0))
 
-    worst.update("purity-relation",
-                 abs(v_norm ** 2 - (1.0 + 3.0 * u_norm ** 2) / 4.0))
-
-    purity_a = float(np.einsum("ij,ji->", rho_a.matrix, rho_a.matrix).real)
+    purity_a = np.einsum("nij,nji->n", rho_a.matrix, rho_a.matrix).real
     return {"u_norm": u_norm, "v_norm": v_norm, "purity_a": purity_a,
             "c_amp": c_amp, "form": form}
+
+
+def _modulus(z: np.ndarray) -> np.ndarray:
+    # The scalar modulus abs(z); np.abs of a complex array rounds differently.
+    return np.hypot(z.real, z.imag)
+
+
+def _stacked(count: int, draw) -> list[np.ndarray]:
+    """``count`` calls of ``draw()``, each a tuple of arrays, stacked per slot."""
+    first = draw()
+    stacks = [np.empty((count,) + part.shape, part.dtype) for part in first]
+    for index in range(count):
+        for stack, part in zip(stacks, first if index == 0 else draw()):
+            stack[index] = part
+    return stacks
 
 
 def run_verification(n_states: int = 1000, seed: int = 42,
@@ -205,55 +227,52 @@ def run_verification(n_states: int = 1000, seed: int = 42,
         raise ValidationError(f"tol must be >= 0, got {tol}")
 
     stream = RandomStream(seed)
-    worst = _Worst()
+    worst = dict.fromkeys(CHECK_NAMES, 0.0)
     purity_sum = 0.0
     gap_max = 0.0
 
-    for _ in range(n_states):
-        psi = haar_random((2, 3), stream)
-        stats = _examine_state(psi, worst, fragile=True)
-        purity_sum += stats["purity_a"]
-        gap_max = max(gap_max, abs(stats["u_norm"] - stats["v_norm"]))
+    for psi in haar_chunks((2, 3), stream, n_states):
+        stats = _check_stack(psi, worst, True)
+        # Summed left to right, as one state at a time: np.sum adds pairwise
+        # and Python's sum() compensates (3.12+), both changing the last bits.
+        for purity in stats["purity_a"].tolist():
+            purity_sum += purity
+        gap_max = max(gap_max, float(np.max(abs(stats["u_norm"] - stats["v_norm"]))))
 
     # Rotated maximally entangled states cover the C = 1 boundary.
-    for _ in range(_N_ROTATED_BELL):
-        bell = schmidt_pair_state(1.0 / math.sqrt(2.0))
-        rotated = rotate_local(bell, random_unitary(2, stream),
-                               random_unitary(3, stream))
-        _examine_state(rotated, worst, fragile=True)
+    bell = schmidt_pair_state(1.0 / math.sqrt(2.0))
+    u_a, u_b = _stacked(_N_ROTATED_BELL, lambda: (random_unitary(2, stream),
+                                                  random_unitary(3, stream)))
+    _check_stack(rotate_local(bell, u_a, u_b), worst, True)
 
     # Diagonal two-term states evaluate exactly at every grid point, but the
     # k1 = 1 endpoint is rank-1, where the cubic solver's entropy loses
-    # precision; keep that point out of the fragile comparisons.
-    for k1 in _SCHMIDT_GRID:
-        psi = schmidt_pair_state(k1)
-        stats = _examine_state(psi, worst, fragile=k1 < 1.0)
-        k2 = math.sqrt(max(0.0, 1.0 - k1 * k1))
-        worst.update("schmidt-pair-round-trip",
-                     max(abs(stats["form"].k1 - k1), abs(stats["form"].k2 - k2)))
+    # precision; keep that point out of the sqrt-amplified comparisons.
+    grid = np.array(_SCHMIDT_GRID)
+    stats = _check_stack(
+        PureState(np.stack([schmidt_pair_state(k1).amplitudes for k1 in _SCHMIDT_GRID])),
+        worst, grid < 1.0)
+    k2 = np.sqrt(np.maximum(0.0, 1.0 - grid * grid))
+    _record(worst, "schmidt-pair-round-trip",
+            np.maximum(abs(stats["form"].k1 - grid), abs(stats["form"].k2 - k2)))
 
     # Product states sit exactly on the C = 0 boundary: only their robust
     # observables are compared.
-    for _ in range(_N_PRODUCT):
-        phi_a = np.array([complex(stream.next_gaussian(), stream.next_gaussian())
-                          for _ in range(2)])
-        phi_b = np.array([complex(stream.next_gaussian(), stream.next_gaussian())
-                          for _ in range(3)])
-        psi = product_state(phi_a / np.linalg.norm(phi_a),
-                            phi_b / np.linalg.norm(phi_b))
-        stats = _examine_state(psi, worst, fragile=False)
-        worst.update("product-state-norms",
-                     max(abs(stats["u_norm"] - 1.0), abs(stats["v_norm"] - 1.0)))
-        worst.update("product-state-concurrence", stats["c_amp"])
+    factors = _complex_gaussians(stream, 5 * _N_PRODUCT).reshape(_N_PRODUCT, 5)
+    phi_a, phi_b = factors[:, :2], factors[:, 2:]
+    stats = _check_stack(product_state(_unit(phi_a), _unit(phi_b)), worst, False)
+    _record(worst, "product-state-norms",
+            np.maximum(abs(stats["u_norm"] - 1.0), abs(stats["v_norm"] - 1.0)))
+    _record(worst, "product-state-concurrence", stats["c_amp"])
 
-    n_rotations = min(n_states, _MAX_ROTATIONS)
-    for _ in range(n_rotations):
-        psi = haar_random((2, 3), stream)
-        rotated = rotate_local(psi, random_unitary(2, stream),
-                               random_unitary(3, stream))
-        worst.update("local-unitary-invariance",
-                     abs(concurrence_amplitudes(psi)
-                         - concurrence_amplitudes(rotated)))
+    # Each pair is drawn as the state, then its two unitaries.
+    amplitudes, u_a, u_b = _stacked(min(n_states, _MAX_ROTATIONS), lambda: (
+        haar_random((2, 3), stream).amplitudes, random_unitary(2, stream),
+        random_unitary(3, stream)))
+    psi = PureState(amplitudes)
+    _record(worst, "local-unitary-invariance",
+            abs(concurrence_amplitudes(psi)
+                - concurrence_amplitudes(rotate_local(psi, u_a, u_b))))
 
     purity_mean = purity_sum / n_states
     purity_target = (2 + 3) / (2 * 3 + 1)
@@ -266,7 +285,7 @@ def run_verification(n_states: int = 1000, seed: int = 42,
             checks.append(CheckResult(name, abs(purity_mean - purity_target),
                                       purity_tol))
         else:
-            checks.append(CheckResult(name, worst.values[name], tol))
+            checks.append(CheckResult(name, worst[name], tol))
     observations = {
         "purity-mean": purity_mean,
         "max-u-v-norm-gap": gap_max,

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+import ent23.sampling
+import ent23.verify
 from ent23 import (
     DensityMatrix,
     EntanglementReport,
@@ -24,8 +26,11 @@ from ent23 import (
     hermitian_eigvecs2,
     product_state,
     random_unitary,
+    reconstruct,
     reduced_a,
+    reduced_b,
     rotate_local,
+    run_verification,
     schmidt_decompose,
     schmidt_pair_state,
     von_neumann_entropy,
@@ -112,15 +117,65 @@ def test_stacked_codec_and_reduced_state_equal_per_state_calls():
     rho = PureState(np.stack([psi.amplitudes for psi in states])).density()
     coeffs = decompose(rho)
     rho_a = reduced_a(rho)
+    rho_b = reduced_b(rho)
     entropies = von_neumann_entropy(rho_a)
+    rebuilt = reconstruct(coeffs)
     for index, psi in enumerate(states):
         single = psi.density()
         assert same(rho.matrix[index], single.matrix)
         one = decompose(single)
         for name in ("u", "v", "beta"):
             assert same(getattr(coeffs, name)[index], getattr(one, name))
+        assert same(rebuilt[index], reconstruct(one))
         assert same(rho_a.matrix[index], reduced_a(single).matrix)
+        assert same(rho_b.matrix[index], reduced_b(single).matrix)
         assert entropies[index] == von_neumann_entropy(reduced_a(single))
+
+
+@pytest.mark.parametrize("d_b", (2, 3))
+def test_stacked_haar_draw_equals_per_state_draws(d_b):
+    stacked_stream, single_stream = RandomStream(2006), RandomStream(2006)
+    stack = haar_random((2, d_b), stacked_stream, n=37)
+    singles = [haar_random((2, d_b), single_stream) for _ in range(37)]
+    assert stack.amplitudes.shape == (37, 2, d_b)
+    assert same(stack.amplitudes, np.stack([psi.amplitudes for psi in singles]))
+    assert stacked_stream.counter == single_stream.counter == 37 * 8 * d_b
+    assert haar_random((2, d_b), RandomStream(5)).amplitudes.shape == (2, d_b)
+    with pytest.raises(ValidationError):
+        haar_random((2, d_b), RandomStream(5), n=0)
+
+
+@pytest.mark.parametrize("d_b", (2, 3))
+def test_stacked_rotation_and_product_equal_per_state_calls(d_b):
+    states = family_stack(d_b)
+    stream = RandomStream(17)
+    u_a = [random_unitary(2, stream) for _ in states]
+    u_b = [random_unitary(d_b, stream) for _ in states]
+    stack = PureState(np.stack([psi.amplitudes for psi in states]))
+    rotated = rotate_local(stack, np.stack(u_a), np.stack(u_b))
+    for index, psi in enumerate(states):
+        one = rotate_local(psi, u_a[index], u_b[index])
+        assert same(rotated.amplitudes[index], one.amplitudes)
+    phi_a = np.stack([unit(u[:, 0]) for u in u_a])
+    phi_b = np.stack([unit(u[:, 1]) for u in u_b])
+    products = product_state(phi_a, phi_b)
+    for index in range(len(states)):
+        one = product_state(phi_a[index], phi_b[index])
+        assert same(products.amplitudes[index], one.amplitudes)
+    with pytest.raises(ValidationError):
+        product_state(phi_a, phi_b[:-1])
+
+
+def outcome_bits(outcome):
+    return ([(c.name, repr(c.max_error), repr(c.tolerance)) for c in outcome.checks],
+            {key: repr(value) for key, value in outcome.observations.items()})
+
+
+def test_verification_outcome_does_not_depend_on_chunk_size(monkeypatch):
+    default = outcome_bits(run_verification(n_states=41, seed=23))
+    for chunk in (1, 7):
+        monkeypatch.setattr(ent23.sampling, "CHUNK_STATES", chunk)
+        assert outcome_bits(run_verification(n_states=41, seed=23)) == default, chunk
 
 
 def test_stacked_eig2_covers_zero_and_degenerate_matrices():
@@ -174,3 +229,15 @@ def test_stacked_density_checks_every_matrix():
 def test_unsupported_shapes_are_rejected(shape):
     with pytest.raises(ValidationError):
         PureState(np.ones(shape) / math.sqrt(max(1, np.prod(shape[-2:]))))
+
+
+def test_nan_error_fails_its_check(monkeypatch):
+    def nan_on_second(form):
+        c = concurrence_schmidt(form)
+        return np.where(np.arange(len(c)) == 1, np.nan, c)
+
+    monkeypatch.setattr(ent23.verify, "concurrence_schmidt", nan_on_second)
+    outcome = run_verification(n_states=5, seed=1)
+    assert math.isnan(outcome.check("concurrence-amplitude-vs-schmidt").max_error)
+    assert not outcome.check("concurrence-amplitude-vs-schmidt").passed
+    assert outcome.check("concurrence-amplitude-vs-bloch").passed

@@ -66,15 +66,5 @@ def test_uniform_in_unit_interval():
         assert 0.0 <= u < 1.0
 
 
-def test_derive_gives_independent_streams():
-    base = RandomStream(1000)
-    shard1 = base.derive(1)
-    shard2 = base.derive(2)
-    seq1 = [shard1.next_gaussian() for _ in range(10)]
-    seq2 = [shard2.next_gaussian() for _ in range(10)]
-    assert seq1 != seq2
-    assert RandomStream(1001).next_gaussian() == seq1[0]
-
-
 def test_seed_wraps_to_64_bits():
     assert RandomStream(2 ** 64 + 3).seed == 3
