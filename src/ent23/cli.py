@@ -105,8 +105,8 @@ def _positive_int(text: str) -> int:
 
 def _nonnegative_float(text: str) -> float:
     value = float(text)
-    if value < 0.0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if not 0.0 <= value < float("inf"):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
     return value
 
 

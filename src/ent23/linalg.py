@@ -12,9 +12,9 @@ matrix accurate to machine precision instead of ``sqrt(eps)``.
 All functions are pure and thread-safe.  NaN/Inf inputs are rejected at the
 boundary; nothing downstream is expected to cope with them.
 
-Exact batching.  The 2x2 kernels, and the measures built on them, take a stack
-of ``N`` inputs and evaluate it with elementwise NumPy; a single input is the
-``N = 1`` case.  A stack must give the same bits as ``N`` separate calls, and
+Exact batching.  All three solvers, and the measures built on them, take a
+stack of ``N`` inputs and evaluate it with elementwise NumPy; a single input is
+the ``N = 1`` case.  A stack must give the same bits as ``N`` separate calls, and
 the same bits as the scalar code these kernels replaced, so that outputs
 printed to 12 or 15 digits never change.  Several obvious array calls break
 that (measured with NumPy 2.4 on AVX-512, 20000 Haar states):
@@ -32,8 +32,11 @@ that (measured with NumPy 2.4 on AVX-512, 20000 Haar states):
   vector, with the same strides, and matched on all (:func:`_dots`).
 - The batched codec ``einsum("nab,kba->nk")`` and the stacked ``matmul`` for
   the qubit reduced matrix matched bit for bit.
-- Entropies keep ``math.log2`` per element: NumPy's SIMD logarithms differ
-  from libm's in the last bit.
+- Entropies keep ``math.log2`` per element, the 3x3 solver ``math.acos`` and
+  ``math.cos``: NumPy's SIMD versions differ from libm's in the last bit.
+- The 3x3 guard ``big == 0 -> other = 0`` stays apart from the 2x2 form
+  ``det / (big + (big == 0))``, whose numerator vanishes with ``big``; the
+  deflated pair's product need not, and sharing changed 103 of 22317 spectra.
 """
 
 from __future__ import annotations
@@ -77,11 +80,10 @@ def _worst(errors: np.ndarray) -> tuple[int, str]:
     return index, (f" (item {index} of the stack)" if errors.ndim else "")
 
 
-def _checked(matrix, dim: int, stack: bool = True) -> np.ndarray:
-    """``matrix`` as a complex array of shape ``(dim, dim)`` or, if ``stack``,
-    ``(N, dim, dim)``; finite and Hermitian."""
+def _checked(matrix, dim: int) -> np.ndarray:
+    """``matrix`` as a finite, Hermitian complex ``(dim, dim)`` or ``(N, dim, dim)`` array."""
     m = np.asarray(matrix, dtype=complex)
-    if m.shape[-2:] != (dim, dim) or m.ndim not in ((2, 3) if stack else (2,)) or m.size == 0:
+    if m.shape[-2:] != (dim, dim) or m.ndim not in (2, 3) or m.size == 0:
         raise ValidationError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
     require_finite(m, "matrix")
     require_hermitian(m)
@@ -185,13 +187,24 @@ def _complex_norms(z: np.ndarray) -> np.ndarray:
     return np.sqrt(squares[..., 0, 0, 0] + squares[..., 1, 0, 0])
 
 
-def _det3(m: np.ndarray) -> complex:
-    return (m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-            - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-            + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0]))
+def _cmul(x, y):
+    """``x * y`` of ``(re, im)`` pairs, rounded as NumPy's scalar complex multiply."""
+    (xr, xi), (yr, yi) = x, y
+    return xr * yr - xi * yi, xr * yi + xi * yr
 
 
-def hermitian_eig3(matrix) -> tuple[float, float, float]:
+def _minor(re, im, r, s, j, k):
+    """``(re, im)`` of the 2x2 minor ``x[r, j] x[s, k] - x[r, k] x[s, j]``;
+    ``re[j, i]`` and ``im[j, i]`` are the parts of ``x[i, j]``."""
+    ur, ui = _cmul((re[j, r], im[j, r]), (re[k, s], im[k, s]))
+    vr, vi = _cmul((re[k, r], im[k, r]), (re[j, s], im[j, s]))
+    return ur - vr, ui - vi
+
+
+_ACOS, _COS = (np.vectorize(f, otypes=[float]) for f in (math.acos, math.cos))
+
+
+def hermitian_eig3(matrix):
     """Eigenvalues of a 3x3 Hermitian matrix, descending.
 
     Shift by ``trace/3``, scale so the traceless remainder ``B`` satisfies
@@ -203,35 +216,36 @@ def hermitian_eig3(matrix) -> tuple[float, float, float]:
     deflated characteristic quadratic on the same stable branch as the 2x2
     solver.  (Near ``|cos(3*phi)| = 1`` the arccosine has unbounded
     derivative, so reading a nearly degenerate pair off the cosine form
-    splits it by ~sqrt(eps); the deflation keeps exact inputs exact.)
+    splits it by ~sqrt(eps); the deflation keeps exact inputs exact.)  One
+    matrix gives a tuple of three floats; a stack ``(N, 3, 3)`` gives an
+    ``(N, 3)`` array, each row descending.
     """
-    m = _checked(matrix, 3, stack=False)
-    a = m[0, 0].real
-    b = m[1, 1].real
-    c = m[2, 2].real
+    m = _checked(matrix, 3)
+    a, b, c = m.T[0, 0].real, m.T[1, 1].real, m.T[2, 2].real
+    s01, s02, s12 = (np.float_power(np.hypot(z.real, z.imag), 2.0)
+                     for z in (m.T[1, 0], m.T[2, 0], m.T[2, 1]))
     trace = a + b + c
     q = trace / 3.0
-    off2 = (abs(m[0, 1]) ** 2 + abs(m[0, 2]) ** 2 + abs(m[1, 2]) ** 2)
-    p2 = (a - q) ** 2 + (b - q) ** 2 + (c - q) ** 2 + 2.0 * off2
-    if p2 == 0.0:
-        return (q, q, q)
-    p = math.sqrt(p2 / 6.0)
-    shifted = (m - q * np.eye(3)) / p
-    r = _det3(shifted).real / 2.0
-    r = min(1.0, max(-1.0, r))
-    phi = math.acos(r) / 3.0
-    if r >= 0.0:
-        isolated = q + 2.0 * p * math.cos(phi)
-    else:
-        isolated = q + 2.0 * p * math.cos(phi + 2.0 * math.pi / 3.0)
-    minors = ((a * b - abs(m[0, 1]) ** 2)
-              + (a * c - abs(m[0, 2]) ** 2)
-              + (b * c - abs(m[1, 2]) ** 2))
+    p2 = (np.float_power(a - q, 2.0) + np.float_power(b - q, 2.0)
+          + np.float_power(c - q, 2.0) + 2.0 * ((s01 + s02) + s12))
+    # p2 == 0 gives (q, q, q), selected at the end; p = 1 keeps it finite.
+    p = np.sqrt(p2 / 6.0) + (p2 == 0.0)
+    # Parts of (m - q I) / p, transposed so that a per-matrix q and p broadcast.
+    s = (m.T - np.multiply.outer(np.eye(3), q)) / p
+    re, im = s.real, s.imag
+    # Real part of the cofactor expansion along row 0.
+    t = [_cmul((re[j, 0], im[j, 0]), _minor(re, im, 1, 2, *cols))[0]
+         for j, cols in enumerate(((1, 2), (0, 2), (0, 1)))]
+    r = np.clip(((t[0] - t[1]) + t[2]) / 2.0, -1.0, 1.0)
+    phi = _ACOS(r) / 3.0
+    isolated = q + 2.0 * p * _COS(np.where(r >= 0.0, phi, phi + 2.0 * math.pi / 3.0))
+    minors = (a * b - s01) + (a * c - s02) + (b * c - s12)
     pair_sum = trace - isolated
     pair_prod = minors - isolated * pair_sum
-    disc = max(0.0, pair_sum * pair_sum - 4.0 * pair_prod)
-    root = math.sqrt(disc)
-    big = 0.5 * (pair_sum + root) if pair_sum >= 0.0 else 0.5 * (pair_sum - root)
-    other = pair_prod / big if big != 0.0 else 0.0
-    w1, w2, w3 = sorted((isolated, big, other), reverse=True)
-    return (w1, w2, w3)
+    root = np.sqrt(np.maximum(0.0, pair_sum * pair_sum - 4.0 * pair_prod))
+    big = 0.5 * np.where(pair_sum >= 0.0, pair_sum + root, pair_sum - root)
+    # Unlike the 2x2 solver, pair_prod need not vanish where big does.
+    other = np.where(big == 0.0, 0.0, pair_prod / (big + (big == 0.0)))
+    w = -np.sort(-np.array((isolated, big, other)), axis=0)
+    w = np.where(p2 == 0.0, q, w)
+    return tuple(w.tolist()) if m.ndim == 2 else w.T

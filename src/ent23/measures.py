@@ -43,6 +43,7 @@ from .linalg import (
     _TINY,
     _complex_norms,
     _dots,
+    _minor,
     _worst,
     hermitian_eig2,
     hermitian_eig3,
@@ -183,19 +184,8 @@ def concurrence_amplitudes(psi: PureState):
     """
     # re[j, i] is the real part of a[..., i, j]: a NumPy scalar for one state.
     re, im = psi.amplitudes.real.T, psi.amplitudes.imag.T
-
-    def product(i1, j1, i2, j2):
-        # a[i1, j1] * a[i2, j2] in real arithmetic, as NumPy's scalar complex
-        # multiply rounds it (the array multiply fuses and rounds differently).
-        ur, ui, vr, vi = re[j1, i1], im[j1, i1], re[j2, i2], im[j2, i2]
-        return ur * vr - ui * vi, ur * vi + ui * vr
-
-    minors_re, minors_im = [], []
-    for i, j in ((0, 1),) if psi.d_b == 2 else ((0, 1), (2, 0), (1, 2)):
-        p_re, p_im = product(0, i, 1, j)
-        q_re, q_im = product(0, j, 1, i)
-        minors_re.append(p_re - q_re)
-        minors_im.append(p_im - q_im)
+    pairs = ((0, 1),) if psi.d_b == 2 else ((0, 1), (2, 0), (1, 2))
+    minors_re, minors_im = zip(*(_minor(re, im, 0, 1, *cols) for cols in pairs))
     # |m| as NumPy's scalar modulus computes it, and |m|**2 as libm pow does.
     moduli = np.hypot(np.array(minors_re), np.array(minors_im))
     if psi.d_b == 2:
@@ -324,7 +314,7 @@ def concurrence_schmidt(form: SchmidtForm):
 
 
 def _require_unit_interval(x: np.ndarray, what: str) -> None:
-    outside = (x < -DOMAIN_TOL) | (x > 1.0 + DOMAIN_TOL)
+    outside = ~((x >= -DOMAIN_TOL) & (x <= 1.0 + DOMAIN_TOL))  # NaN too
     if outside.any():
         bad = float(np.ravel(x)[np.ravel(outside)][0])
         raise ValidationError(f"{what} {bad!r} is outside [0, 1]")
@@ -381,8 +371,7 @@ def von_neumann_entropy(rho: DensityMatrix):
     """Entropy in bits of a dimension-2 or dimension-3 density matrix.
 
     Eigenvalues come from the closed-form solvers and are clamped to [0, 1]
-    before the ``p log2 p`` sum.  A stack of matrices gives one entropy each;
-    dimension 3 is solved one matrix at a time.
+    before the ``p log2 p`` sum.  A stack of matrices gives one entropy each.
     """
     if not isinstance(rho, DensityMatrix) or rho.dim not in (2, 3):
         raise ValidationError("entropy expects a DensityMatrix of dimension 2 or 3")
@@ -390,10 +379,7 @@ def von_neumann_entropy(rho: DensityMatrix):
     # DensityMatrix tolerates a larger hermiticity deviation than the
     # eigensolvers; hand them the exactly Hermitian part.
     matrix = 0.5 * (mat + np.conj(mat).swapaxes(-1, -2))
-    if rho.dim == 2:
-        eigenvalues = hermitian_eig2(matrix)
-    else:
-        eigenvalues = [hermitian_eig3(m) for m in matrix.reshape(-1, 3, 3)]
+    eigenvalues = (hermitian_eig2 if rho.dim == 2 else hermitian_eig3)(matrix)
     p = np.minimum(1.0, np.maximum(0.0, eigenvalues))
     return _out(_entropies(p.reshape(-1, rho.dim).tolist(), mat.shape[:-2]))
 

@@ -18,7 +18,7 @@ rejected with the rest of malformed input.
 from __future__ import annotations
 
 import json
-import math
+import sys
 
 import numpy as np
 
@@ -76,7 +76,7 @@ def parse_state_file(text: str | bytes, renormalize: bool = False) -> PureState:
                  and all(isinstance(part, (int, float)) and not isinstance(part, bool)
                          for part in entry),
                  f"amplitudes[{idx}]: expected a [re, im] pair of numbers")
-        _require(all(math.isfinite(part) for part in entry),
+        _require(all(abs(part) <= sys.float_info.max for part in entry),
                  f"amplitudes[{idx}]: values must be finite")
         values[idx] = complex(entry[0], entry[1])
 

@@ -218,13 +218,13 @@ def run_verification(n_states: int = 1000, seed: int = 42,
                      tol: float = 1e-10) -> VerifyOutcome:
     """Run every named check; deterministic for a given ``(n_states, seed)``.
 
-    ``tol`` applies to all floating-point checks (the statistical purity-mean
-    check keeps its own bound).  Requires ``n_states >= 1`` and ``tol >= 0``.
+    ``tol``, finite and >= 0, applies to all floating-point checks (the
+    statistical purity-mean check keeps its own bound).  Requires ``n_states >= 1``.
     """
     if n_states < 1:
         raise ValidationError(f"n_states must be >= 1, got {n_states}")
-    if tol < 0.0:
-        raise ValidationError(f"tol must be >= 0, got {tol}")
+    if not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
 
     stream = RandomStream(seed)
     worst = dict.fromkeys(CHECK_NAMES, 0.0)

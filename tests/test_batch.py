@@ -1,6 +1,7 @@
 """A stack of states gives, element for element, the bits of one call per state."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -23,6 +24,7 @@ from ent23 import (
     full_report,
     haar_random,
     hermitian_eig2,
+    hermitian_eig3,
     hermitian_eigvecs2,
     product_state,
     random_unitary,
@@ -119,6 +121,7 @@ def test_stacked_codec_and_reduced_state_equal_per_state_calls():
     rho_a = reduced_a(rho)
     rho_b = reduced_b(rho)
     entropies = von_neumann_entropy(rho_a)
+    entropies_b = von_neumann_entropy(rho_b)
     rebuilt = reconstruct(coeffs)
     for index, psi in enumerate(states):
         single = psi.density()
@@ -130,6 +133,7 @@ def test_stacked_codec_and_reduced_state_equal_per_state_calls():
         assert same(rho_a.matrix[index], reduced_a(single).matrix)
         assert same(rho_b.matrix[index], reduced_b(single).matrix)
         assert entropies[index] == von_neumann_entropy(reduced_a(single))
+        assert entropies_b[index] == von_neumann_entropy(reduced_b(single))
 
 
 @pytest.mark.parametrize("d_b", (2, 3))
@@ -194,6 +198,33 @@ def test_stacked_eig2_covers_zero_and_degenerate_matrices():
         assert same(vectors[index], one_vectors)
     assert hermitian_eig2(np.zeros((2, 2))) == (0.0, 0.0)
     assert same(vectors[1], np.eye(2))
+
+
+def eig3_matrices():
+    """I/3 (p2 == 0), the rank-one partner matrices of product states
+    (big == 0), every reduced_b of the family stack, and random matrices."""
+    matrices = [np.eye(3) / 3, np.zeros((3, 3)), np.diag([0.5, 0.5, 0.0])]
+    products = product_state(np.eye(2)[[0, 1, 0]], np.eye(3)[[0, 1, 2]])
+    for psi in (products, PureState(np.stack([psi.amplitudes for psi in family_stack(3)]))):
+        matrices.extend(reduced_b(psi.density()).matrix)
+    rng = np.random.default_rng(9)
+    matrices += list(rng.normal(size=(50, 3, 3)) + 1j * rng.normal(size=(50, 3, 3)))
+    return [0.5 * (m + m.conj().T) for m in matrices]
+
+
+#: sha256 of the eigenvalues of :func:`eig3_matrices` as float64 bytes, from
+#: one call per matrix of the solver that predates the stacked one.
+EIG3_DIGEST = "a390202d34681a91a41bd401c847f917ada48d08ad4f275adbd9a0ee545c49d4"
+
+
+def test_stacked_eig3_equals_per_matrix_calls():
+    matrices = eig3_matrices()
+    values = hermitian_eig3(np.stack(matrices).astype(complex))
+    assert values.shape == (len(matrices), 3)
+    for index, m in enumerate(matrices):
+        assert tuple(values[index]) == hermitian_eig3(m), index
+    assert hashlib.sha256(values.tobytes()).hexdigest() == EIG3_DIGEST
+    assert hermitian_eig3(np.eye(3) / 3) == (1 / 3, 1 / 3, 1 / 3)
 
 
 def test_elementwise_entropies_equal_scalar_calls():

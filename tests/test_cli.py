@@ -1,11 +1,13 @@
 import hashlib
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from ent23 import ValidationError, run_verification
 from ent23.cli import main
 
 STATES_DIR = Path(__file__).resolve().parent.parent / "states"
@@ -20,6 +22,15 @@ GOLDEN_SAMPLE_DIGESTS = {
     (250, 42): "7a6ad4e4dd7d15db5e8631d2da4f56be40b15cee3d270fcde271253f452bf02f",
     (250, 20061): "e850525425a08d074e563a016eefe21cb1fd84b7415673e1b00ef49ccda41dc0",
     (1001, 7): "a002e8210a1166fb013be1bd040921a46fc32c01729909e811854922bcb4b206",
+}
+
+#: sha256 of ``ent23 verify --n N --seed S --format F`` stdout, keyed by
+#: ``(N, S, F)``; 251 states leave a one-state remainder chunk.
+GOLDEN_VERIFY_DIGESTS = {
+    (1000, 42, "text"): "733cae94ca7e2eec4969a49bafd555453ef49933459bd5bb99aa22449ed0cea9",
+    (1000, 42, "json"): "c831e557a7c4e055c4989519c78552d65a411efaf59e0f553de41260941d1ff9",
+    (251, 11, "text"): "1702bd45c743288b0616bd97e0e52487f39c724726a3ad0ccdd5dc70f1a182fa",
+    (251, 11, "json"): "6a535260885fe5d72996271d0b9b474e837a2c37648a7f0f7f2a9e73f068d53f",
 }
 
 
@@ -90,6 +101,15 @@ def test_compute_bad_dims_exits_2(tmp_path, capsys):
     assert "unsupported" in err
 
 
+def test_compute_huge_integer_amplitude_exits_2(tmp_path, capsys):
+    state = tmp_path / "huge.json"
+    state.write_text('{"dims": [2, 2], "amplitudes": [[1%s, 0], [0, 0], [0, 0], [0, 0]]}'
+                     % ("0" * 400))
+    code, _, err = run(["compute", str(state)], capsys)
+    assert code == 2
+    assert "error:" in err and "finite" in err
+
+
 def test_compute_unnormalized_needs_flag(tmp_path, capsys):
     state = tmp_path / "loose.json"
     state.write_text(json.dumps({
@@ -138,9 +158,16 @@ def test_verify_rejects_bad_arguments():
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "--n", "0"])
     assert excinfo.value.code == 2
-    with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "--tol", "-1"])
-    assert excinfo.value.code == 2
+    for tol in ("-1", "nan", "inf"):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--tol", tol])
+        assert excinfo.value.code == 2, tol
+
+
+@pytest.mark.parametrize("tol", (-1.0, math.nan, math.inf))
+def test_run_verification_rejects_bad_tolerance(tol):
+    with pytest.raises(ValidationError, match="tol"):
+        run_verification(n_states=1, tol=tol)
 
 
 def test_sample_deterministic(tmp_path, capsys):
@@ -200,6 +227,13 @@ def test_sample_matches_golden_digest(tmp_path, capsys, n, seed):
     capsys.readouterr()
     digest = hashlib.sha256(path.read_bytes()).hexdigest()
     assert digest == GOLDEN_SAMPLE_DIGESTS[(n, seed)]
+
+
+@pytest.mark.parametrize(("n", "seed", "fmt"), sorted(GOLDEN_VERIFY_DIGESTS))
+def test_verify_matches_golden_digest(capsys, n, seed, fmt):
+    code, out, _ = run(["verify", "--n", str(n), "--seed", str(seed), "--format", fmt], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_DIGESTS[(n, seed, fmt)]
 
 
 def test_sample_stdout_bytes_equal_file_bytes(tmp_path):

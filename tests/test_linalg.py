@@ -147,6 +147,20 @@ def test_eig3_rejects_non_hermitian():
         hermitian_eig3(m)
 
 
+def test_eig3_takes_a_stack():
+    rng = np.random.default_rng(10)
+    stack = np.stack([random_hermitian(rng, 3) for _ in range(4)])
+    values = hermitian_eig3(stack)
+    assert values.shape == (4, 3)
+    assert np.all(values[:, :-1] >= values[:, 1:])
+
+
+@pytest.mark.parametrize("shape", ((2, 3, 3, 3), (0, 3, 3), (3,), (2, 2)))
+def test_eig3_rejects_bad_shapes(shape):
+    with pytest.raises(ValidationError):
+        hermitian_eig3(np.zeros(shape))
+
+
 def test_eig3_descending_order():
     rng = np.random.default_rng(8)
     for _ in range(100):

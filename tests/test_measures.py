@@ -183,6 +183,10 @@ def test_binary_entropy_domain_error():
         binary_entropy(1.001)
     with pytest.raises(ValidationError):
         binary_entropy(-0.001)
+    with pytest.raises(ValidationError):
+        binary_entropy(math.nan)
+    with pytest.raises(ValidationError):
+        binary_entropy(np.array([0.5, math.nan]))
 
 
 @settings(max_examples=200, deadline=None)
@@ -209,6 +213,10 @@ def test_eof_strictly_increasing():
 def test_eof_domain_error():
     with pytest.raises(ValidationError):
         eof_from_concurrence(1.1)
+    with pytest.raises(ValidationError):
+        eof_from_concurrence(math.nan)
+    with pytest.raises(ValidationError):
+        eof_from_concurrence(np.array([0.5, math.nan]))
 
 
 def test_von_neumann_entropy_values():

@@ -85,6 +85,14 @@ def test_parse_rejects_string_complex():
         parse_state_file(json.dumps(payload))
 
 
+@pytest.mark.parametrize("value", ("1" + "0" * 400, "NaN", "-Infinity"))
+def test_parse_rejects_values_outside_the_float_range(value):
+    # An int too large for a float must not escape as OverflowError.
+    text = '{"dims": [2, 2], "amplitudes": [[%s, 0], [0, 0], [0, 0], [0, 0]]}' % value
+    with pytest.raises(StateFileError, match="finite"):
+        parse_state_file(text)
+
+
 def test_parse_rejects_wrong_length():
     payload = {"dims": [2, 3], "amplitudes": [[1.0, 0.0]] * 5}
     with pytest.raises(StateFileError, match="6 pairs"):
