@@ -12,6 +12,18 @@ sequence for a given seed is reproducible bit-for-bit wherever ``log``,
 ``cos`` and ``sqrt`` are correctly rounded, which holds on every mainstream
 libm; the test suite pins a golden sequence to detect drift.
 
+Block draws.  Because word ``i`` depends on nothing but ``i``, a block of
+words is computed at once from its counters, as in the counter-based
+generators of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
+(SC'11): the mix runs on a ``np.uint64`` array, whose arithmetic wraps mod
+2**64 exactly as the definition does.  ``next_gaussian(n)`` gives the bits of
+``n`` one-draw calls and leaves the counter where they would.  The uniforms,
+``sqrt`` and the products by ``-2.0`` and ``2.0 * pi`` are exact or
+correctly rounded in NumPy too, but ``log`` and ``cos`` are applied per
+element with libm's ``math.log`` and ``math.cos``: NumPy's SIMD ``np.log``
+differed from ``math.log`` on 657 of 200000 inputs (AVX-512, NumPy 2.4), so
+a fully vectorized Box-Muller would silently change every sampled state.
+
 Streams are plain mutable values.  Concurrent samplers must not share one
 stream, and there is no split operation: give each sampler its own seed.
 """
@@ -21,15 +33,23 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from .errors import ValidationError
+
 _MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX1 = np.uint64(0xBF58476D1CE4E5B9)
+_MIX2 = np.uint64(0x94D049BB133111EB)
 _INV_2_53 = 2.0 ** -53
+_TWO_PI = 2.0 * math.pi
 
 
-def _mix64(z: int) -> int:
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """splitmix64's bit-mix of each ``np.uint64`` in ``z``."""
+    z = (z ^ (z >> np.uint64(30))) * _MIX1
+    z = (z ^ (z >> np.uint64(27))) * _MIX2
+    return z ^ (z >> np.uint64(31))
 
 
 @dataclass
@@ -43,16 +63,27 @@ class RandomStream:
         self.seed = int(self.seed) & _MASK64
         self.counter = int(self.counter) & _MASK64
 
-    def _next_word(self) -> int:
-        self.counter = (self.counter + 1) & _MASK64
-        return _mix64((self.seed + self.counter * _GOLDEN) & _MASK64)
+    def _words(self, count: int) -> np.ndarray:
+        """The next ``count`` raw words, each shifted down to its top 53 bits."""
+        # Array arithmetic throughout: it wraps mod 2**64 silently, where
+        # np.uint64 scalars would warn on overflow.
+        counters = np.uint64(self.counter) + np.arange(1, count + 1, dtype=np.uint64)
+        self.counter = (self.counter + count) & _MASK64
+        return _mix64(np.uint64(self.seed) + counters * _GOLDEN) >> np.uint64(11)
 
     def next_uniform(self) -> float:
         """Uniform draw in [0, 1) with 53-bit resolution."""
-        return (self._next_word() >> 11) * _INV_2_53
+        return int(self._words(1)[0]) * _INV_2_53
 
-    def next_gaussian(self) -> float:
-        """Standard normal draw."""
-        u = ((self._next_word() >> 11) + 1) * _INV_2_53   # in (0, 1], log-safe
-        v = (self._next_word() >> 11) * _INV_2_53          # in [0, 1)
-        return math.sqrt(-2.0 * math.log(u)) * math.cos(2.0 * math.pi * v)
+    def next_gaussian(self, n: int | None = None) -> float | np.ndarray:
+        """Standard normal draw, or an array of the next ``n`` of them."""
+        count = 1 if n is None else n
+        if count < 0:
+            raise ValidationError(f"n must be >= 0, got {n}")
+        words = self._words(2 * count)
+        u = (words[0::2] + np.uint64(1)) * _INV_2_53   # in (0, 1], log-safe
+        v = words[1::2] * _INV_2_53                     # in [0, 1)
+        logs = np.fromiter(map(math.log, u.tolist()), float, count)
+        cosines = np.fromiter(map(math.cos, (_TWO_PI * v).tolist()), float, count)
+        draws = np.sqrt(-2.0 * logs) * cosines
+        return float(draws[0]) if n is None else draws

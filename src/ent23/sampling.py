@@ -30,7 +30,7 @@ _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 def _complex_gaussians(stream: RandomStream, count: int) -> np.ndarray:
     """``count`` standard complex Gaussians, each two stream draws, real part first."""
-    return np.array([stream.next_gaussian() for _ in range(2 * count)]).view(complex)
+    return stream.next_gaussian(2 * count).view(complex)
 
 
 def haar_random(dims: tuple[int, int], stream: RandomStream, n: int | None = None) -> PureState:
@@ -49,17 +49,29 @@ def haar_random(dims: tuple[int, int], stream: RandomStream, n: int | None = Non
     count = 1 if n is None else n
     if count < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    amp = _complex_gaussians(stream, 2 * d_b * count).reshape(count, 2 * d_b)
-    # Divides by np.linalg.norm of each grid, bit for bit, for less overhead.
-    grids = _unit(amp).reshape(count, 2, d_b)
+    gaussians = _complex_gaussians(stream, 2 * d_b * count).reshape(count, 2 * d_b)
+    grids = _haar_grids(gaussians)
     return PureState(grids if n is not None else grids[0])
+
+
+def _haar_grids(gaussians: np.ndarray) -> np.ndarray:
+    """The amplitude grids of :func:`haar_random` from a stack ``(N, 2 * d_b)``
+    of its complex Gaussians."""
+    # Divides by np.linalg.norm of each grid, bit for bit, for less overhead.
+    return _unit(gaussians).reshape(len(gaussians), 2, -1)
 
 
 def haar_chunks(dims: tuple[int, int], stream: RandomStream, n: int):
     """The ``n`` states of ``haar_random(dims, stream, n)`` as stacks of at
     most :data:`CHUNK_STATES`, each drawn when the previous one is done with."""
+    for size in chunk_sizes(n):
+        yield haar_random(dims, stream, size)
+
+
+def chunk_sizes(n: int):
+    """Sizes of the stacks of at most :data:`CHUNK_STATES` that ``n`` draws are cut into."""
     for start in range(0, n, CHUNK_STATES):
-        yield haar_random(dims, stream, min(CHUNK_STATES, n - start))
+        yield min(CHUNK_STATES, n - start)
 
 
 def product_state(phi_a, phi_b) -> PureState:
@@ -96,11 +108,27 @@ def schmidt_pair_state(k1: float, d_b: int = 3) -> PureState:
     return PureState(amp)
 
 
-def random_unitary(dim: int, stream: RandomStream) -> np.ndarray:
-    """Haar-distributed unitary: QR of a complex Gaussian matrix, phases fixed."""
-    q, r = np.linalg.qr(_complex_gaussians(stream, dim * dim).reshape(dim, dim))
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+def random_unitary(dim: int, stream: RandomStream, n: int | None = None) -> np.ndarray:
+    """Haar-distributed unitary, or a stack ``(n, dim, dim)`` of them drawn one
+    after another: QR of a complex Gaussian matrix, phases fixed.
+
+    A stack holds the bits of ``n`` one-matrix calls on the same stream and
+    leaves the stream where they would.
+    """
+    count = 1 if n is None else n
+    if count < 1:
+        raise ValidationError(f"n must be >= 1, got {n}")
+    unitaries = _haar_unitaries(_complex_gaussians(stream, count * dim * dim)
+                               .reshape(count, dim, dim))
+    return unitaries if n is not None else unitaries[0]
+
+
+def _haar_unitaries(gaussians: np.ndarray) -> np.ndarray:
+    """The unitaries of :func:`random_unitary` from a stack ``(N, dim, dim)`` of
+    its complex Gaussian matrices, each drawn in row-major order."""
+    q, r = np.linalg.qr(gaussians)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
 
 
 def rotate_local(psi: PureState, u_a: np.ndarray, u_b: np.ndarray) -> PureState:

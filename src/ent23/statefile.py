@@ -18,6 +18,7 @@ rejected with the rest of malformed input.
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import numpy as np
@@ -81,9 +82,14 @@ def parse_state_file(text: str | bytes, renormalize: bool = False) -> PureState:
         values[idx] = complex(entry[0], entry[1])
 
     if renormalize:
-        norm = np.linalg.norm(values)
-        _require(norm > 0.0, "cannot renormalize the zero vector")
-        values = values / norm
+        # Scaled first by the power of two that brings the largest part into
+        # [0.5, 1), so the squares in the norm neither overflow nor underflow;
+        # the scaling is exact, so it changes no bit of the result.
+        parts = values.view(float)
+        largest = float(np.abs(parts).max())
+        _require(largest > 0.0, "cannot renormalize the zero vector")
+        values = np.ldexp(parts, -math.frexp(largest)[1]).view(complex)
+        values = values / np.linalg.norm(values)
     return PureState(values.reshape(2, d_b))
 
 

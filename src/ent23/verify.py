@@ -9,11 +9,13 @@ ensemble purity mean) carries its own Monte-Carlo bound.
 
 Every family is drawn from the seed's stream in a fixed order and checked as
 one stack: each check computes an error per state and keeps the largest.  The
-random ensemble is drawn and checked in chunks of
-:data:`ent23.sampling.CHUNK_STATES` states, so memory does not grow with
-``n_states``.  The chunk size never changes the outcome, because a stacked
-call gives every state the bits of a call on that state alone (the module
-notes of :mod:`ent23.linalg` list the NumPy calls avoided for that).
+random ensemble, and the random states and local unitaries of the rotation
+pairs, are drawn and checked in chunks of :data:`ent23.sampling.CHUNK_STATES`
+states or pairs, so memory does not grow with ``n_states``.  The chunk size
+never changes the outcome, because a stacked call gives every state the bits
+of a call on that state alone (the module notes of :mod:`ent23.linalg` list
+the NumPy calls avoided for that), and a block of stream draws the bits of
+one draw at a time.
 
 The Bloch- and Schmidt-route concurrences and the subsystem entropies take
 square roots of quantities that vanish on rank-deficient reduced states,
@@ -48,8 +50,10 @@ from .measures import (
 from .rng import RandomStream
 from .sampling import (
     _complex_gaussians,
+    _haar_grids,
+    _haar_unitaries,
+    chunk_sizes,
     haar_chunks,
-    haar_random,
     product_state,
     random_unitary,
     rotate_local,
@@ -204,16 +208,6 @@ def _modulus(z: np.ndarray) -> np.ndarray:
     return np.hypot(z.real, z.imag)
 
 
-def _stacked(count: int, draw) -> list[np.ndarray]:
-    """``count`` calls of ``draw()``, each a tuple of arrays, stacked per slot."""
-    first = draw()
-    stacks = [np.empty((count,) + part.shape, part.dtype) for part in first]
-    for index in range(count):
-        for stack, part in zip(stacks, first if index == 0 else draw()):
-            stack[index] = part
-    return stacks
-
-
 def run_verification(n_states: int = 1000, seed: int = 42,
                      tol: float = 1e-10) -> VerifyOutcome:
     """Run every named check; deterministic for a given ``(n_states, seed)``.
@@ -239,10 +233,12 @@ def run_verification(n_states: int = 1000, seed: int = 42,
             purity_sum += purity
         gap_max = max(gap_max, float(np.max(abs(stats["u_norm"] - stats["v_norm"]))))
 
-    # Rotated maximally entangled states cover the C = 1 boundary.
+    # Rotated maximally entangled states cover the C = 1 boundary.  The
+    # stream gives each pair's two unitaries in turn.
     bell = schmidt_pair_state(1.0 / math.sqrt(2.0))
-    u_a, u_b = _stacked(_N_ROTATED_BELL, lambda: (random_unitary(2, stream),
-                                                  random_unitary(3, stream)))
+    pairs = [(random_unitary(2, stream), random_unitary(3, stream))
+             for _ in range(_N_ROTATED_BELL)]
+    u_a, u_b = (np.stack(unitaries) for unitaries in zip(*pairs))
     _check_stack(rotate_local(bell, u_a, u_b), worst, True)
 
     # Diagonal two-term states evaluate exactly at every grid point, but the
@@ -265,14 +261,16 @@ def run_verification(n_states: int = 1000, seed: int = 42,
             np.maximum(abs(stats["u_norm"] - 1.0), abs(stats["v_norm"] - 1.0)))
     _record(worst, "product-state-concurrence", stats["c_amp"])
 
-    # Each pair is drawn as the state, then its two unitaries.
-    amplitudes, u_a, u_b = _stacked(min(n_states, _MAX_ROTATIONS), lambda: (
-        haar_random((2, 3), stream).amplitudes, random_unitary(2, stream),
-        random_unitary(3, stream)))
-    psi = PureState(amplitudes)
-    _record(worst, "local-unitary-invariance",
-            abs(concurrence_amplitudes(psi)
-                - concurrence_amplitudes(rotate_local(psi, u_a, u_b))))
+    # The stream gives each pair as its state's 6 complex Gaussians, then
+    # those of its two unitaries (4 and 9): one block per chunk of pairs.
+    for size in chunk_sizes(min(n_states, _MAX_ROTATIONS)):
+        block = _complex_gaussians(stream, 19 * size).reshape(size, 19)
+        psi = PureState(_haar_grids(block[:, :6]))
+        u_a = _haar_unitaries(block[:, 6:10].reshape(size, 2, 2))
+        u_b = _haar_unitaries(block[:, 10:].reshape(size, 3, 3))
+        _record(worst, "local-unitary-invariance",
+                abs(concurrence_amplitudes(psi)
+                    - concurrence_amplitudes(rotate_local(psi, u_a, u_b))))
 
     purity_mean = purity_sum / n_states
     purity_target = (2 + 3) / (2 * 3 + 1)

@@ -149,6 +149,18 @@ def test_stacked_haar_draw_equals_per_state_draws(d_b):
         haar_random((2, d_b), RandomStream(5), n=0)
 
 
+@pytest.mark.parametrize("dim", (2, 3))
+def test_stacked_unitary_draw_equals_per_matrix_draws(dim):
+    stacked_stream, single_stream = RandomStream(2006), RandomStream(2006)
+    stack = random_unitary(dim, stacked_stream, n=37)
+    singles = [random_unitary(dim, single_stream) for _ in range(37)]
+    assert stack.shape == (37, dim, dim)
+    assert same(stack, np.stack(singles))
+    assert stacked_stream.counter == single_stream.counter == 37 * 4 * dim * dim
+    with pytest.raises(ValidationError):
+        random_unitary(dim, RandomStream(5), n=0)
+
+
 @pytest.mark.parametrize("d_b", (2, 3))
 def test_stacked_rotation_and_product_equal_per_state_calls(d_b):
     states = family_stack(d_b)
@@ -176,6 +188,8 @@ def outcome_bits(outcome):
 
 
 def test_verification_outcome_does_not_depend_on_chunk_size(monkeypatch):
+    # Chunks of 1 and 7 cut the Haar ensemble and the 41 rotation pairs into
+    # several stacks, the last one short.
     default = outcome_bits(run_verification(n_states=41, seed=23))
     for chunk in (1, 7):
         monkeypatch.setattr(ent23.sampling, "CHUNK_STATES", chunk)

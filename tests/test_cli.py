@@ -124,6 +124,17 @@ def test_compute_unnormalized_needs_flag(tmp_path, capsys):
     assert abs(parse_text_report(out)["c_amplitude"] - C_TRIPLE) < 1e-5
 
 
+@pytest.mark.parametrize("amplitude", ("1e200", "1e-200", "1e-310"))
+def test_compute_renormalizes_huge_and_tiny_amplitudes(tmp_path, capsys, amplitude):
+    # Squaring these overflowed the norm or underflowed it to zero.
+    state = tmp_path / "scaled.json"
+    state.write_text('{"dims": [2, 2], "amplitudes": [[%s, 0], [0, 0], [0, 0], [%s, 0]]}'
+                     % (amplitude, amplitude))
+    code, out, err = run(["compute", str(state), "--renormalize"], capsys)
+    assert code == 0, err
+    assert parse_text_report(out)["c_amplitude"] == 1.0
+
+
 def test_verify_passes_and_exits_0(capsys):
     code, out, _ = run(["verify", "--n", "200", "--seed", "42"], capsys)
     assert code == 0

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -153,6 +155,25 @@ def test_eig3_takes_a_stack():
     values = hermitian_eig3(stack)
     assert values.shape == (4, 3)
     assert np.all(values[:, :-1] >= values[:, 1:])
+
+
+@pytest.mark.parametrize("scale", (1e160, 1e-170))
+def test_eig3_of_huge_and_tiny_entries(scale):
+    # Squares of the entries overflow or underflow: diag(1, 2, 3) * 1e160
+    # gave (inf, nan, nan) and * 1e-170 gave (2e-170,) * 3.  A matrix scaled
+    # on its own leaves its stack neighbours' bits alone.
+    extreme = np.diag([1.0, 2.0, 3.0]) * scale
+    plain = np.diag([0.2, 0.3, 0.5])
+    expected = scale * np.array([3.0, 2.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = np.array(hermitian_eig3(extreme))
+        stacked = hermitian_eig3(np.stack([plain, extreme, plain]))
+    for values in (alone, stacked[1]):
+        assert np.all(np.isfinite(values))
+        # Relative to the spectral norm, the measure Weyl's bound uses.
+        assert np.max(np.abs(values - expected)) <= 1e-15 * expected[0]
+    assert tuple(stacked[0]) == tuple(stacked[2]) == hermitian_eig3(plain)
 
 
 @pytest.mark.parametrize("shape", ((2, 3, 3, 3), (0, 3, 3), (3,), (2, 2)))
