@@ -27,6 +27,33 @@ The decoder accepts arbitrary finite coefficients; the affine map above is a
 bijection on Hermitian unit-trace matrices, not on physical states, so its
 output is a plain array and positivity is checked only where a
 :class:`DensityMatrix` is actually constructed.
+
+Positivity certificate.  :class:`DensityMatrix` accepts a matrix ``M`` when
+the smallest eigenvalue LAPACK ``eigvalsh`` computes is at least
+:data:`DENSITY_EIGENVALUE_FLOOR`.  Before that it runs one Cholesky
+factorization of the whole stack ``A = M + s I`` with
+``s = -DENSITY_EIGENVALUE_FLOOR - 1e-12``; if it completes, every matrix is
+accepted and ``eigvalsh`` does not run.  Otherwise ``eigvalsh`` runs on the
+stack and decides, so every rejection, its message and its item index are
+those of ``eigvalsh`` alone.  A completed factorization never accepts a
+matrix that ``eigvalsh`` would reject:
+
+- ``eigvalsh`` (``UPLO='L'``) and ``cholesky`` (lower) both read the
+  Hermitian matrix formed from the lower triangle of ``M``, whose trace is
+  the real part of ``tr(M)``.
+- If ``zpotrf`` completes on ``A`` with factor ``R``, then
+  ``A + dA = R* R`` with ``|dA| <= g |R*| |R|``, where ``g`` is
+  ``gamma_{d+1}`` (Higham, *Accuracy and Stability of Numerical
+  Algorithms*, 2nd ed., Thm 10.3), a few times larger in complex
+  arithmetic: below 1e-14 for ``d <= 6``.  Hence
+  ``||dA||_2 <= g ||R||_F**2``, and taking traces of the same relation gives
+  ``||R||_F**2 <= tr(A) / (1 - g)``.  No bound on the size of the entries
+  is needed.
+- The trace check has already bounded ``tr(A)`` by ``1 + 7e-10``, so
+  ``||dA||_2`` is ~1e-14 at most, far below the 1e-12 margin, and
+  ``lambda_min(M) > -s - ||dA||_2 > DENSITY_EIGENVALUE_FLOOR + 9e-13``.
+- Then ``||M||_2`` is about 1, and ``eigvalsh``'s error, a small multiple
+  of ``d eps ||M||_2``, cannot take its smallest eigenvalue below the floor.
 """
 
 from __future__ import annotations
@@ -80,12 +107,15 @@ _ID2 = np.eye(2, dtype=complex)
 _ID3 = np.eye(3, dtype=complex)
 _ID6 = np.eye(6, dtype=complex)
 
+# s I of the positivity certificate (module notes), per dimension.
+_CERTIFICATE_SHIFTS = {d: (-DENSITY_EIGENVALUE_FLOOR - 1e-12) * np.eye(d) for d in (2, 3, 6)}
+
 # Stacked tensor-product operator tables, built once at import.
 _QUBIT_OPS = np.stack([np.kron(s, _ID3) for s in PAULI])                 # (3, 6, 6)
 _QUTRIT_OPS = np.stack([np.kron(_ID2, g) for g in GELL_MANN])            # (8, 6, 6)
 _PAIR_OPS = np.stack([np.stack([np.kron(s, g) for g in GELL_MANN])
                       for s in PAULI])                                   # (3, 8, 6, 6)
-for _arr in (_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS):
+for _arr in (_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS, *_CERTIFICATE_SHIFTS.values()):
     _arr.setflags(write=False)
 
 
@@ -94,7 +124,10 @@ class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix of dimension 2, 3 or 6.
 
     ``matrix`` may also be a stack ``(N, d, d)``; every check then runs on
-    every matrix of the stack.
+    every matrix of the stack.  Positivity means a smallest ``eigvalsh``
+    eigenvalue of at least :data:`DENSITY_EIGENVALUE_FLOOR`; a shifted
+    Cholesky factorization certifies it first, and ``eigvalsh`` runs only on
+    a stack that the factorization does not certify (see the module notes).
     """
 
     matrix: np.ndarray
@@ -114,11 +147,15 @@ class DensityMatrix:
             index, where = _worst(error)
             raise ValidationError("density matrix trace is "
                                   f"{np.ravel(trace)[index].real:.12g}, expected 1{where}")
-        smallest = np.linalg.eigvalsh(mat).T[0]
-        if smallest.min() < DENSITY_EIGENVALUE_FLOOR:
-            index, where = _worst(-smallest)
-            raise ValidationError("density matrix has negative eigenvalue "
-                                  f"{np.ravel(smallest)[index]:.3e}{where}")
+        try:
+            np.linalg.cholesky(mat + _CERTIFICATE_SHIFTS[mat.shape[-1]])
+        except np.linalg.LinAlgError:
+            # Not certified: eigvalsh decides (see the module notes).
+            smallest = np.linalg.eigvalsh(mat).T[0]
+            if smallest.min() < DENSITY_EIGENVALUE_FLOOR:
+                index, where = _worst(-smallest)
+                raise ValidationError("density matrix has negative eigenvalue "
+                                      f"{np.ravel(smallest)[index]:.3e}{where}") from None
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 

@@ -92,6 +92,28 @@ def _checked(matrix, dim: int) -> np.ndarray:
     return m
 
 
+_SCALE_LIMIT = 2.0 ** 500
+
+
+def _scaled(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | int]:
+    """``(m * 2**-shift, shift)`` for a checked ``(..., d, d)`` array.
+
+    Squares of entries above ~1e154 overflow, and those of nonzero entries
+    below ~1e-154 underflow.  Those matrices, and only they, are scaled by
+    the power of two that brings their largest real or imaginary part into
+    [0.5, 1), which is exact; every other matrix gets ``shift = 0`` and keeps
+    its bits (``shift`` is the integer 0 when no matrix is scaled).
+    Eigenvalues of the scaled matrix are scaled back by ``np.ldexp(w, shift)``.
+    """
+    parts = np.ascontiguousarray(m).view(float)
+    largest = np.abs(parts).max(axis=(-2, -1))
+    outside = (largest > _SCALE_LIMIT) | (largest < 1.0 / _SCALE_LIMIT)
+    if not outside.any():
+        return m, 0
+    shift = np.where(outside, np.frexp(largest)[1], 0)
+    return np.ldexp(parts, -shift[..., None, None]).view(complex), shift
+
+
 def _eig2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Descending eigenvalues ``(w1, w2)`` of a checked ``(..., 2, 2)`` array.
 
@@ -121,14 +143,13 @@ def hermitian_eig2(matrix):
     Roots of ``x**2 - tr*x + det = 0``.  The discriminant is assembled as
     ``(a - d)**2 + 4|b|**2``, which is nonnegative by construction and free of
     cancellation; the smaller-magnitude root is recovered through the product
-    of roots.  One matrix gives a tuple of two floats; a stack ``(N, 2, 2)``
-    gives an ``(N, 2)`` array, each row descending.
+    of roots.  Matrices with entries beyond ``2**±500`` are solved scaled
+    (:func:`_scaled`).  One matrix gives a tuple of two floats; a stack
+    ``(N, 2, 2)`` gives an ``(N, 2)`` array, each row descending.
     """
-    m = _checked(matrix, 2)
-    w1, w2 = _eig2(m)
-    if m.ndim == 2:
-        return (float(w1), float(w2))
-    return np.array((w1, w2)).T
+    m, shift = _scaled(_checked(matrix, 2))
+    w = np.ldexp(_eig2(m), shift)
+    return tuple(w.tolist()) if m.ndim == 2 else w.T
 
 
 _EYE2 = np.eye(2, dtype=complex)
@@ -143,10 +164,14 @@ def hermitian_eigvecs2(matrix) -> tuple[np.ndarray, np.ndarray]:
     is a multiple of the identity up to that tolerance and the standard basis
     is returned, which keeps outputs deterministic.  The second column is the
     exact orthogonal complement of the first, so the pair is orthonormal to
-    machine precision regardless of conditioning.  A stack ``(N, 2, 2)``
-    gives values ``(N, 2)`` and vectors ``(N, 2, 2)``.
+    machine precision regardless of conditioning.  Matrices with entries
+    beyond ``2**±500`` are solved scaled (:func:`_scaled`), but the
+    degeneracy test stays absolute: it compares the eigenvalues scaled back,
+    so a spectrum narrower than ``DEGENERACY_TOL`` takes the standard basis
+    however small the matrix.  A stack ``(N, 2, 2)`` gives values ``(N, 2)``
+    and vectors ``(N, 2, 2)``.
     """
-    m = _checked(matrix, 2)
+    m, shift = _scaled(_checked(matrix, 2))
     w1, w2 = _eig2(m)
     b = m.T[1, 0]
     # Rows of the candidates are two null vectors of (m - w1); take the longer.
@@ -163,8 +188,9 @@ def hermitian_eigvecs2(matrix) -> tuple[np.ndarray, np.ndarray]:
     # Built transposed: columns v1 and its orthogonal complement; (2,) values
     # and (2, 2) vectors for one matrix, (N, 2) and (N, 2, 2) for a stack.
     vectors = np.array(((c0, c1), (-np.conj(c1), np.conj(c0)))).T
-    vectors[w1 - w2 <= DEGENERACY_TOL] = _EYE2
-    return np.array((w1, w2)).T, vectors
+    w = np.ldexp((w1, w2), shift)
+    vectors[w[0] - w[1] <= DEGENERACY_TOL] = _EYE2
+    return w.T, vectors
 
 
 def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -204,7 +230,6 @@ def _minor(re, im, r, s, j, k):
 
 
 _ACOS, _COS = (np.vectorize(f, otypes=[float]) for f in (math.acos, math.cos))
-_EIG3_SCALE_LIMIT = 2.0 ** 500
 
 
 def hermitian_eig3(matrix):
@@ -219,21 +244,12 @@ def hermitian_eig3(matrix):
     deflated characteristic quadratic on the same stable branch as the 2x2
     solver.  (Near ``|cos(3*phi)| = 1`` the arccosine has unbounded
     derivative, so reading a nearly degenerate pair off the cosine form
-    splits it by ~sqrt(eps); the deflation keeps exact inputs exact.)  One
-    matrix gives a tuple of three floats; a stack ``(N, 3, 3)`` gives an
-    ``(N, 3)`` array, each row descending.
+    splits it by ~sqrt(eps); the deflation keeps exact inputs exact.)
+    Matrices with entries beyond ``2**±500`` are solved scaled
+    (:func:`_scaled`).  One matrix gives a tuple of three floats; a stack
+    ``(N, 3, 3)`` gives an ``(N, 3)`` array, each row descending.
     """
-    m = _checked(matrix, 3)
-    # Squares of entries above ~1e154 overflow p2, and those of nonzero
-    # entries below ~1e-154 underflow it.  Those matrices, and only they, are
-    # scaled by the power of two that brings their largest real or imaginary
-    # part into [0.5, 1), which is exact; their eigenvalues are scaled back.
-    parts = np.ascontiguousarray(m).view(float)
-    largest = np.abs(parts).max(axis=(-2, -1))
-    outside = (largest > _EIG3_SCALE_LIMIT) | (largest < 1.0 / _EIG3_SCALE_LIMIT)
-    shift = np.where(outside, np.frexp(largest)[1], 0)
-    if shift.any():
-        m = np.ldexp(parts, -shift[..., None, None]).view(complex)
+    m, shift = _scaled(_checked(matrix, 3))
     a, b, c = m.T[0, 0].real, m.T[1, 1].real, m.T[2, 2].real
     s01, s02, s12 = (np.float_power(np.hypot(z.real, z.imag), 2.0)
                      for z in (m.T[1, 0], m.T[2, 0], m.T[2, 1]))

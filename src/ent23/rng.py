@@ -71,10 +71,6 @@ class RandomStream:
         self.counter = (self.counter + count) & _MASK64
         return _mix64(np.uint64(self.seed) + counters * _GOLDEN) >> np.uint64(11)
 
-    def next_uniform(self) -> float:
-        """Uniform draw in [0, 1) with 53-bit resolution."""
-        return int(self._words(1)[0]) * _INV_2_53
-
     def next_gaussian(self, n: int | None = None) -> float | np.ndarray:
         """Standard normal draw, or an array of the next ``n`` of them."""
         count = 1 if n is None else n

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,12 +16,14 @@ from ent23 import (
     RandomStream,
     ValidationError,
     decompose,
+    full_report,
     haar_random,
     product_state,
     reconstruct,
     reduced_a,
     reduced_b,
 )
+from ent23.bases import DENSITY_EIGENVALUE_FLOOR
 
 SQRT3 = math.sqrt(3.0)
 
@@ -229,3 +232,74 @@ def test_coherence_decomposition_validation():
         CoherenceDecomposition(np.zeros(2), np.zeros(8), np.zeros((3, 8)))
     with pytest.raises(ValidationError):
         CoherenceDecomposition(np.full(3, np.inf), np.zeros(8), np.zeros((3, 8)))
+
+
+def matrix_with_smallest_eigenvalue(rng, d, smallest):
+    """A Hermitian unit-trace ``d x d`` matrix whose spectrum has minimum ``smallest``."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    rest = rng.random(d - 1) + 0.05
+    spectrum = np.concatenate([[smallest], rest * ((1.0 - smallest) / rest.sum())])
+    m = (q * spectrum) @ q.conj().T
+    return 0.5 * (m + m.conj().T)
+
+
+def accepts(matrix):
+    try:
+        DensityMatrix(matrix)
+    except ValidationError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("d", (2, 3, 6))
+def test_positivity_decision_is_eigvalsh_at_the_floor(d):
+    # Within 3e-12 of the floor the Cholesky certificate cannot decide alone
+    # (its margin is 1e-12): the decision must still be eigvalsh's.
+    rng = np.random.default_rng(d)
+    grid = DENSITY_EIGENVALUE_FLOOR + np.linspace(-3e-12, 3e-12, 61)
+    stack = np.array([matrix_with_smallest_eigenvalue(rng, d, t) for t in grid])
+    decisions = [accepts(m) for m in stack]
+    assert decisions == [np.linalg.eigvalsh(m).min() >= DENSITY_EIGENVALUE_FLOOR for m in stack]
+    assert any(decisions) and not all(decisions)
+    accepted = stack[decisions]
+    assert accepts(accepted) and not accepts(stack)
+
+
+def test_stack_with_one_negative_matrix_names_it():
+    rng = np.random.default_rng(5)
+    stack = np.array([matrix_with_smallest_eigenvalue(rng, 6, 0.05) for _ in range(5)])
+    stack[3] = matrix_with_smallest_eigenvalue(rng, 6, -1e-3)
+    smallest = np.linalg.eigvalsh(stack[3]).min()
+    with pytest.raises(ValidationError) as info:
+        DensityMatrix(stack)
+    assert str(info.value) == ("density matrix has negative eigenvalue "
+                               f"{smallest:.3e} (item 3 of the stack)")
+
+
+def test_haar_stack_is_certified_without_eigvalsh(monkeypatch):
+    def no_eigvalsh(*args, **kwargs):
+        raise AssertionError("eigvalsh called on a certified stack")
+
+    psi = haar_random((2, 3), RandomStream(21), n=250)
+    expected = full_report(psi).as_dict()
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = full_report(psi).as_dict()
+    assert all(np.array_equal(report[key], expected[key]) for key in expected)
+
+
+def test_cholesky_reads_the_triangle_eigvalsh_reads():
+    # The certificate relies on NumPy's stacked cholesky: lower triangle, like
+    # eigvalsh; LinAlgError for the stack if any one matrix fails; no warnings.
+    lower_indefinite = np.array([[1.0, 0.5], [2.0, 1.0]], dtype=complex)
+    assert np.linalg.eigvalsh(lower_indefinite).min() < 0
+    assert np.linalg.eigvalsh(lower_indefinite.T).min() > 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.linalg.cholesky(lower_indefinite.T)
+        np.linalg.cholesky(np.stack([np.eye(6)] * 4))
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(lower_indefinite)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(np.stack([np.eye(2), np.eye(2), lower_indefinite]))

@@ -207,6 +207,19 @@ def test_sample_csv_shape_and_ranges(tmp_path, capsys):
         assert abs(k1 ** 2 + k2 ** 2 - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("x", (0.0, -0.0, 5e-324, 1e16, 1e-5, 1.0 - 2.0 ** -53, 0.1))
+def test_csv_percent_format_equals_format(x):
+    assert "%.12g" % x == format(x, ".12g")
+
+
+def test_sample_indices_run_across_chunks(capsys):
+    # 251 states are two chunks, of 250 and 1.
+    code, out, _ = run(["sample", "--n", "251", "--seed", "3"], capsys)
+    assert code == 0
+    rows = out.splitlines()[1:]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(251))
+
+
 def test_sample_to_stdout(capsys):
     code, out, _ = run(["sample", "--n", "3", "--seed", "1"], capsys)
     assert code == 0

@@ -176,6 +176,26 @@ def test_eig3_of_huge_and_tiny_entries(scale):
     assert tuple(stacked[0]) == tuple(stacked[2]) == hermitian_eig3(plain)
 
 
+@pytest.mark.parametrize("scale", (1e170, 1e-170))
+def test_eig2_of_huge_and_tiny_entries(scale):
+    # diag(1, 2) * 1e170 gave (nan, nan) with overflow warnings and * 1e-170
+    # gave (1.5e-170, 0.0).  Both solvers scale such a matrix on its own.
+    extreme = np.diag([1.0, 2.0]) * scale
+    plain = np.diag([0.3, 0.7])
+    expected = scale * np.array([2.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        alone = np.array(hermitian_eig2(extreme))
+        stacked = hermitian_eig2(np.stack([plain, extreme, plain]))
+        vec_values, vectors = hermitian_eigvecs2(np.stack([plain, extreme, plain]))
+    for values in (alone, stacked[1], vec_values[1]):
+        assert np.max(np.abs(values - expected)) <= 1e-15 * expected[0]
+    assert tuple(stacked[0]) == tuple(stacked[2]) == hermitian_eig2(plain)
+    # The degeneracy test is absolute: a spectrum 1e-170 wide is degenerate.
+    expected_vectors = np.eye(2) if scale < 1 else np.array([[0, -1], [1, 0]])
+    assert np.allclose(vectors[1], expected_vectors, rtol=0, atol=1e-15)
+
+
 @pytest.mark.parametrize("shape", ((2, 3, 3, 3), (0, 3, 3), (3,), (2, 2)))
 def test_eig3_rejects_bad_shapes(shape):
     with pytest.raises(ValidationError):

@@ -118,12 +118,5 @@ def test_sample_mean_and_spread():
     assert abs(statistics.pstdev(draws) - 1.0) < 0.02
 
 
-def test_uniform_in_unit_interval():
-    stream = RandomStream(9)
-    for _ in range(1000):
-        u = stream.next_uniform()
-        assert 0.0 <= u < 1.0
-
-
 def test_seed_wraps_to_64_bits():
     assert RandomStream(2 ** 64 + 3).seed == 3
