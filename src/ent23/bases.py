@@ -23,6 +23,17 @@ Conventions, all of which downstream signs depend on:
   are ``rho_A = (I + sum u_i sigma_i)/2`` and
   ``rho_B = (I + sqrt(3) sum v_j lambda_j)/3``.
 
+Sparse codec.  Each of the 35 operators ``sigma_i x I``, ``I x lambda_j``
+and ``sigma_i x lambda_j`` has at most six nonzero entries of 36, so the codec
+reads index/value tables built once at import (``_sum_table``) and adds only
+the nonzero terms (``_gather_sum``).  ``_ENCODE`` gives, for each coefficient
+trace, the positions ``x = 6a + b`` of ``rho`` and the weights ``op[b, a]``;
+``_DECODE_U``, ``_DECODE_V`` and ``_DECODE_BETA`` give, for each entry
+``6a + b`` of the rebuilt matrix, the coefficients ``k`` and the weights
+``op_k[a, b]`` of one group.  Terms are added in the order ``einsum`` adds
+them, so every bit matches the dense ``einsum`` codec (why, in the
+:mod:`ent23.linalg` notes).
+
 The decoder accepts arbitrary finite coefficients; the affine map above is a
 bijection on Hermitian unit-trace matrices, not on physical states, so its
 output is a plain array and positivity is checked only where a
@@ -115,8 +126,36 @@ _QUBIT_OPS = np.stack([np.kron(s, _ID3) for s in PAULI])                 # (3, 6
 _QUTRIT_OPS = np.stack([np.kron(_ID2, g) for g in GELL_MANN])            # (8, 6, 6)
 _PAIR_OPS = np.stack([np.stack([np.kron(s, g) for g in GELL_MANN])
                       for s in PAULI])                                   # (3, 8, 6, 6)
-for _arr in (_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS, *_CERTIFICATE_SHIFTS.values()):
+
+
+def _sum_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(index, value)`` table of :func:`_gather_sum` for ``weights[j, x]``,
+    the weight of input ``x`` in output ``j``: row ``t`` holds each output's
+    ``t``-th nonzero weight and its input, in ascending ``x``; zeros pad the end."""
+    nonzero = weights != 0
+    index = np.argsort(~nonzero, axis=-1, kind="stable")[:, :nonzero.sum(axis=-1).max()]
+    return index.T.copy(), np.take_along_axis(weights, index, axis=-1).T.copy()
+
+
+# Sparse codec tables (module notes): the 35 coefficient traces read
+# rho[a, b] * op[b, a] at x = 6a + b; each group of the decoder reads
+# c_k * op_k[a, b] per entry 6a + b.
+_ENCODE = _sum_table(np.concatenate((_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS.reshape(24, 6, 6)))
+                     .transpose(0, 2, 1).reshape(35, 36))
+_DECODE_U, _DECODE_V, _DECODE_BETA = (_sum_table(ops.reshape(-1, 36).T)
+                                      for ops in (_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS))
+for _arr in (_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS, *_CERTIFICATE_SHIFTS.values(),
+             *_ENCODE, *_DECODE_U, *_DECODE_V, *_DECODE_BETA):
     _arr.setflags(write=False)
+
+
+def _gather_sum(x: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``sum_t x[..., index[t]] * value[t]`` for ``table = (index, value)``,
+    added left to right from 0.0, as ``einsum`` adds the nonzero terms."""
+    total = 0.0
+    for index, value in zip(*table):
+        total = total + x.take(index, axis=-1) * value
+    return total
 
 
 @dataclass(frozen=True)
@@ -178,9 +217,11 @@ class CoherenceDecomposition:
     beta: np.ndarray
 
     def __post_init__(self) -> None:
-        u = np.array(self.u, dtype=float)
-        v = np.array(self.v, dtype=float)
-        beta = np.array(self.beta, dtype=float)
+        # C-ordered copies: a stacked dot of v with itself (linalg._dots)
+        # gives other bits for other layouts.
+        u = np.array(self.u, dtype=float, order="C")
+        v = np.array(self.v, dtype=float, order="C")
+        beta = np.array(self.beta, dtype=float, order="C")
         batch = u.shape[:-1]
         if (u.shape[-1:] != (3,) or v.shape != batch + (8,)
                 or beta.shape != batch + (3, 8) or len(batch) > 1):
@@ -219,26 +260,18 @@ def decompose(rho) -> CoherenceDecomposition:
     Hermitian and raises :class:`ConsistencyError`.
     """
     mat = _as_matrix6(rho)
-    stack = mat if mat.ndim == 3 else mat[None]
-    raw_u = np.einsum("nab,kba->nk", stack, _QUBIT_OPS)
-    raw_v = np.einsum("nab,kba->nk", stack, _QUTRIT_OPS)
-    raw_beta = np.einsum("nab,kjba->nkj", stack, _PAIR_OPS)
-    worst_imag = max(
-        float(np.max(np.abs(raw_u.imag))),
-        float(np.max(np.abs(raw_v.imag))),
-        float(np.max(np.abs(raw_beta.imag))),
-    )
+    raw = _gather_sum(mat.reshape(mat.shape[:-2] + (36,)), _ENCODE)
+    worst_imag = float(np.max(np.abs(raw.imag)))
     if worst_imag > TRACE_IMAG_TOL:
         raise ConsistencyError(
             f"coefficient traces have imaginary part {worst_imag:.3e}; "
             "input matrix is not Hermitian"
         )
-    if mat.ndim == 2:
-        raw_u, raw_v, raw_beta = raw_u[0], raw_v[0], raw_beta[0]
+    traces = raw.real
     return CoherenceDecomposition(
-        u=raw_u.real,
-        v=(_SQRT3 / 2.0) * raw_v.real,
-        beta=1.5 * raw_beta.real,
+        u=traces[..., :3],
+        v=(_SQRT3 / 2.0) * traces[..., 3:11],
+        beta=1.5 * traces[..., 11:].reshape(traces.shape[:-1] + (3, 8)),
     )
 
 
@@ -250,11 +283,12 @@ def reconstruct(coeffs: CoherenceDecomposition) -> np.ndarray:
     not checked: arbitrary coefficients need not describe a physical state.
     Wrap the result in :class:`DensityMatrix` when a validated state is needed.
     """
-    mat = (_ID6
-           + np.einsum("...k,kab->...ab", coeffs.u, _QUBIT_OPS)
-           + _SQRT3 * np.einsum("...k,kab->...ab", coeffs.v, _QUTRIT_OPS)
-           + np.einsum("...kj,kjab->...ab", coeffs.beta, _PAIR_OPS))
-    return mat / 6.0
+    beta = coeffs.beta.reshape(coeffs.beta.shape[:-2] + (24,))
+    mat = (_ID6.reshape(36)
+           + _gather_sum(coeffs.u, _DECODE_U)
+           + _SQRT3 * _gather_sum(coeffs.v, _DECODE_V)
+           + _gather_sum(beta, _DECODE_BETA))
+    return mat.reshape(mat.shape[:-1] + (6, 6)) / 6.0
 
 
 def _partial_trace(rho_ab: DensityMatrix, subscripts: str, caller: str) -> DensityMatrix:

@@ -30,8 +30,21 @@ that (measured with NumPy 2.4 on AVX-512, 20000 Haar states):
   (length 3) and 5242 (length 8) states: the latter is a BLAS dot.  A
   stacked ``matmul`` of a row by a column makes that same BLAS call per
   vector, with the same strides, and matched on all (:func:`_dots`).
-- The batched codec ``einsum("nab,kba->nk")`` and the stacked ``matmul`` for
-  the qubit reduced matrix matched bit for bit.
+- The codec (:mod:`ent23.bases`) adds only the nonzero terms where
+  ``einsum`` added all 36, and gives einsum's bits.  Every column of every
+  operator holds at most one nonzero, so einsum's partial sums of a trace
+  take its nonzero terms one at a time, from 0.0, in ascending position
+  ``6a + b``, as the sparse sums do.  In one decoder group, an entry sums
+  at most two nonzero terms in its real part and two in its imaginary
+  part, so their order (ascending ``k``) cannot change a bit.  The zero
+  weights that pad the tables add only +-0, and a sum that starts from +0
+  never comes out as -0.  Every operator entry is real or purely
+  imaginary, so one partial product of each complex product is an exact
+  zero, and the FMA loop of complex ``*`` rounds as einsum's products do.
+  ``take`` keeps each gathered stack in C order; ``x[..., index]`` gave
+  Fortran order, and from a Fortran-ordered ``v`` the stacked
+  :func:`_dots` gave other bits.
+- The stacked ``matmul`` for the qubit reduced matrix matched bit for bit.
 - Entropies keep ``math.log2`` per element, the 3x3 solver ``math.acos`` and
   ``math.cos``: NumPy's SIMD versions differ from libm's in the last bit.
   The same holds for the random stream's Box-Muller ``log``: ``np.log``
@@ -44,6 +57,7 @@ that (measured with NumPy 2.4 on AVX-512, 20000 Haar states):
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -63,6 +77,18 @@ def require_finite(values, what: str = "input") -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValidationError(f"{what} contains NaN or Inf entries")
     return arr
+
+
+def require_count(value, what: str, minimum: int = 1) -> int:
+    """Return ``value`` as an ``int``, rejecting non-integers (``2.0`` too)
+    and values below ``minimum``."""
+    try:
+        count = operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+    if count < minimum:
+        raise ValidationError(f"{what} must be >= {minimum}, got {count}")
+    return count
 
 
 def require_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL,

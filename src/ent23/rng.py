@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .linalg import require_count
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -73,9 +73,7 @@ class RandomStream:
 
     def next_gaussian(self, n: int | None = None) -> float | np.ndarray:
         """Standard normal draw, or an array of the next ``n`` of them."""
-        count = 1 if n is None else n
-        if count < 0:
-            raise ValidationError(f"n must be >= 0, got {n}")
+        count = 1 if n is None else require_count(n, "n", 0)
         words = self._words(2 * count)
         u = (words[0::2] + np.uint64(1)) * _INV_2_53   # in (0, 1], log-safe
         v = words[1::2] * _INV_2_53                     # in [0, 1)

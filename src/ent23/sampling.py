@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import ValidationError
-from .linalg import require_finite
+from .linalg import require_count, require_finite
 from .measures import PureState, _unit
 from .rng import RandomStream
 
@@ -43,12 +43,10 @@ def haar_random(dims: tuple[int, int], stream: RandomStream, n: int | None = Non
     stack holds the bits of ``n`` one-state calls on the same stream and
     leaves the stream where they would.
     """
-    d_a, d_b = dims
+    d_a, d_b = (require_count(d, "dims entry") for d in dims)
     if d_a != 2 or d_b not in (2, 3):
         raise ValidationError(f"supported dims are (2, 2) and (2, 3), got {dims}")
-    count = 1 if n is None else n
-    if count < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    count = 1 if n is None else require_count(n, "n")
     gaussians = _complex_gaussians(stream, 2 * d_b * count).reshape(count, 2 * d_b)
     grids = _haar_grids(gaussians)
     return PureState(grids if n is not None else grids[0])
@@ -115,9 +113,8 @@ def random_unitary(dim: int, stream: RandomStream, n: int | None = None) -> np.n
     A stack holds the bits of ``n`` one-matrix calls on the same stream and
     leaves the stream where they would.
     """
-    count = 1 if n is None else n
-    if count < 1:
-        raise ValidationError(f"n must be >= 1, got {n}")
+    dim = require_count(dim, "dim")
+    count = 1 if n is None else require_count(n, "n")
     unitaries = _haar_unitaries(_complex_gaussians(stream, count * dim * dim)
                                .reshape(count, dim, dim))
     return unitaries if n is not None else unitaries[0]

@@ -36,7 +36,7 @@ import numpy as np
 
 from .bases import decompose, reconstruct, reduced_a, reduced_b, GELL_MANN, PAULI
 from .errors import ValidationError
-from .linalg import _complex_norms, _dots
+from .linalg import _complex_norms, _dots, require_count
 from .measures import (
     PureState,
     _unit,
@@ -215,8 +215,7 @@ def run_verification(n_states: int = 1000, seed: int = 42,
     ``tol``, finite and >= 0, applies to all floating-point checks (the
     statistical purity-mean check keeps its own bound).  Requires ``n_states >= 1``.
     """
-    if n_states < 1:
-        raise ValidationError(f"n_states must be >= 1, got {n_states}")
+    n_states = require_count(n_states, "n_states")
     if not 0.0 <= tol < math.inf:
         raise ValidationError(f"tol must be finite and >= 0, got {tol}")
 

@@ -15,7 +15,9 @@ from ent23 import (
     PAULI,
     RandomStream,
     ValidationError,
+    concurrence_bloch,
     decompose,
+    embed_qutrit,
     full_report,
     haar_random,
     product_state,
@@ -23,7 +25,9 @@ from ent23 import (
     reduced_a,
     reduced_b,
 )
-from ent23.bases import DENSITY_EIGENVALUE_FLOOR
+from ent23.bases import _PAIR_OPS, _QUBIT_OPS, _QUTRIT_OPS, DENSITY_EIGENVALUE_FLOOR
+from ent23.linalg import _dots
+from test_batch import family_stack, same_bits
 
 SQRT3 = math.sqrt(3.0)
 
@@ -153,6 +157,84 @@ def test_roundtrip_on_arbitrary_coefficients(u, v, beta):
     assert np.max(np.abs(back.u - coeffs.u)) < 1e-12
     assert np.max(np.abs(back.v - coeffs.v)) < 1e-12
     assert np.max(np.abs(back.beta - coeffs.beta)) < 1e-12
+
+
+def einsum_decompose(mat):
+    """The dense codec the sparse sums replace: the bit-for-bit reference."""
+    stack = mat if mat.ndim == 3 else mat[None]
+    raw_u = np.einsum("nab,kba->nk", stack, _QUBIT_OPS)
+    raw_v = np.einsum("nab,kba->nk", stack, _QUTRIT_OPS)
+    raw_beta = np.einsum("nab,kjba->nkj", stack, _PAIR_OPS)
+    if mat.ndim == 2:
+        raw_u, raw_v, raw_beta = raw_u[0], raw_v[0], raw_beta[0]
+    return raw_u.real, (SQRT3 / 2.0) * raw_v.real, 1.5 * raw_beta.real
+
+
+def einsum_reconstruct(coeffs):
+    mat = (np.eye(6, dtype=complex)
+           + np.einsum("...k,kab->...ab", coeffs.u, _QUBIT_OPS)
+           + SQRT3 * np.einsum("...k,kab->...ab", coeffs.v, _QUTRIT_OPS)
+           + np.einsum("...kj,kjab->...ab", coeffs.beta, _PAIR_OPS))
+    return mat / 6.0
+
+
+def codec_test_matrices():
+    """Haar, product and near-product states of both dims (the qubit-qubit ones
+    embedded), then every basis state and every two-term superposition of
+    basis states with amplitudes +-1 and +-i."""
+    states = [embed_qutrit(psi) for d_b in (2, 3) for psi in family_stack(d_b)]
+    mats = [psi.density().matrix for psi in states]
+    phases = (1, -1, 1j, -1j)
+    for first in range(6):
+        for p in phases:
+            amp = np.zeros(6, dtype=complex)
+            amp[first] = p
+            mats.append(np.outer(amp, amp.conj()))
+            for second in range(first + 1, 6):
+                for q in phases:
+                    pair = amp.copy()
+                    pair[second] = q
+                    pair /= math.sqrt(2.0)
+                    mats.append(np.outer(pair, pair.conj()))
+    return np.stack(mats)
+
+
+def test_sparse_codec_equals_einsum_bits():
+    mats = codec_test_matrices()
+    stacked = decompose(mats)
+    for name, expected in zip(("u", "v", "beta"), einsum_decompose(mats)):
+        assert same_bits(getattr(stacked, name), expected), name
+    assert same_bits(reconstruct(stacked), einsum_reconstruct(stacked))
+    for mat in mats:
+        one = decompose(mat)
+        for name, expected in zip(("u", "v", "beta"), einsum_decompose(mat)):
+            assert same_bits(getattr(one, name), expected), name
+        assert same_bits(reconstruct(one), einsum_reconstruct(one))
+
+
+def test_sparse_decoder_equals_einsum_bits_with_signed_zeros():
+    rng = np.random.default_rng(2006)
+    n = 3000
+    parts = [rng.normal(size=(n,) + shape) for shape in ((3,), (8,), (3, 8))]
+    for part in parts:
+        zeros = rng.random(part.shape) < 0.4
+        part[zeros] = np.where(rng.random(part.shape) < 0.5, 0.0, -0.0)[zeros]
+    stacked = CoherenceDecomposition(*parts)
+    assert same_bits(reconstruct(stacked), einsum_reconstruct(stacked))
+    for index in range(n):
+        one = CoherenceDecomposition(*(part[index] for part in parts))
+        assert same_bits(reconstruct(one), einsum_reconstruct(one))
+
+
+def test_coherence_bits_do_not_depend_on_memory_layout():
+    coeffs = decompose(haar_random((2, 3), RandomStream(7), n=2000).density())
+    fortran = CoherenceDecomposition(*(np.asfortranarray(part)
+                                       for part in (coeffs.u, coeffs.v, coeffs.beta)))
+    for name in ("u", "v", "beta"):
+        assert same_bits(getattr(fortran, name), getattr(coeffs, name))
+    assert same_bits(concurrence_bloch(fortran), concurrence_bloch(coeffs))
+    assert same_bits(reconstruct(fortran), reconstruct(coeffs))
+    assert same_bits(_dots(fortran.v, fortran.v), _dots(coeffs.v, coeffs.v))
 
 
 def test_reduced_matrices_match_coefficient_form():

@@ -37,6 +37,7 @@ from ent23 import (
     schmidt_pair_state,
     von_neumann_entropy,
 )
+from ent23.linalg import _dots
 
 FIELDS = [field.name for field in dataclasses.fields(EntanglementReport)]
 SCHMIDT_GRID = (1.0 / math.sqrt(2.0), 0.75, math.sqrt(3.0) / 2.0, 0.9, 0.97, 1.0)
@@ -70,6 +71,11 @@ def family_stack(d_b, seed=2006):
 
 def same(a, b):
     return np.array_equal(np.asarray(a), np.asarray(b))
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 @pytest.mark.parametrize("d_b", (2, 3))
@@ -123,15 +129,19 @@ def test_stacked_codec_and_reduced_state_equal_per_state_calls():
     entropies = von_neumann_entropy(rho_a)
     entropies_b = von_neumann_entropy(rho_b)
     rebuilt = reconstruct(coeffs)
+    v_squared = _dots(coeffs.v, coeffs.v)
+    # Bytes, not array_equal: that ignores signed zeros, and the stacked v·v
+    # of a differently laid out v differs in its last bits.
     for index, psi in enumerate(states):
         single = psi.density()
-        assert same(rho.matrix[index], single.matrix)
+        assert same_bits(rho.matrix[index], single.matrix)
         one = decompose(single)
         for name in ("u", "v", "beta"):
-            assert same(getattr(coeffs, name)[index], getattr(one, name))
-        assert same(rebuilt[index], reconstruct(one))
-        assert same(rho_a.matrix[index], reduced_a(single).matrix)
-        assert same(rho_b.matrix[index], reduced_b(single).matrix)
+            assert same_bits(getattr(coeffs, name)[index], getattr(one, name))
+        assert same_bits(v_squared[index], _dots(one.v, one.v))
+        assert same_bits(rebuilt[index], reconstruct(one))
+        assert same_bits(rho_a.matrix[index], reduced_a(single).matrix)
+        assert same_bits(rho_b.matrix[index], reduced_b(single).matrix)
         assert entropies[index] == von_neumann_entropy(reduced_a(single))
         assert entropies_b[index] == von_neumann_entropy(reduced_b(single))
 

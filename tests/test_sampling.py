@@ -12,6 +12,7 @@ from ent23 import (
     product_state,
     random_unitary,
     rotate_local,
+    run_verification,
     schmidt_decompose,
     schmidt_pair_state,
 )
@@ -112,6 +113,34 @@ def test_random_unitary_is_unitary():
         for _ in range(20):
             u = random_unitary(dim, stream)
             assert np.max(np.abs(u @ u.conj().T - np.eye(dim))) < 1e-12
+
+
+BAD_SIZES = {
+    "unitary dim 0": lambda stream: random_unitary(0, stream),
+    "unitary dim -1": lambda stream: random_unitary(-1, stream),
+    "unitary dim 2.0": lambda stream: random_unitary(2.0, stream),
+    "unitary n 2.5": lambda stream: random_unitary(2, stream, n=2.5),
+    "haar dims (2, 3.0)": lambda stream: haar_random((2, 3.0), stream),
+    "haar n 2.0": lambda stream: haar_random((2, 3), stream, n=2.0),
+    "gaussian n 2.0": lambda stream: stream.next_gaussian(2.0),
+    "verify n_states 2.5": lambda stream: run_verification(n_states=2.5),
+    "verify n_states 0": lambda stream: run_verification(n_states=0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SIZES))
+def test_bad_sizes_are_rejected_before_any_draw(case):
+    stream = RandomStream(3)
+    with pytest.raises(ValidationError):
+        BAD_SIZES[case](stream)
+    assert stream.counter == 0
+
+
+def test_numpy_integer_sizes_draw_like_ints():
+    expected = random_unitary(3, RandomStream(8), n=4)
+    assert np.array_equal(random_unitary(np.int64(3), RandomStream(8), n=np.int32(4)), expected)
+    assert np.array_equal(haar_random((np.int64(2), np.int64(3)), RandomStream(8), n=np.int64(5))
+                          .amplitudes, haar_random((2, 3), RandomStream(8), n=5).amplitudes)
 
 
 def test_rotate_local_preserves_norm():
