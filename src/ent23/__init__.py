@@ -32,7 +32,6 @@ from .measures import (
     concurrence_amplitudes,
     concurrence_bloch,
     concurrence_schmidt,
-    embed_qutrit,
     eof_from_concurrence,
     full_report,
     schmidt_decompose,
@@ -71,7 +70,6 @@ __all__ = [
     "concurrence_bloch",
     "concurrence_schmidt",
     "decompose",
-    "embed_qutrit",
     "eof_from_concurrence",
     "full_report",
     "haar_random",

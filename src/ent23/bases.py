@@ -31,8 +31,8 @@ trace, the positions ``x = 6a + b`` of ``rho`` and the weights ``op[b, a]``;
 ``_DECODE_U``, ``_DECODE_V`` and ``_DECODE_BETA`` give, for each entry
 ``6a + b`` of the rebuilt matrix, the coefficients ``k`` and the weights
 ``op_k[a, b]`` of one group.  Terms are added in the order ``einsum`` adds
-them, so every bit matches the dense ``einsum`` codec (why, in the
-:mod:`ent23.linalg` notes).
+them, so every bit matches the dense ``einsum`` codec (why, in
+:mod:`ent23._exact`).
 
 The decoder accepts arbitrary finite coefficients; the affine map above is a
 bijection on Hermitian unit-trace matrices, not on physical states, so its
@@ -217,8 +217,7 @@ class CoherenceDecomposition:
     beta: np.ndarray
 
     def __post_init__(self) -> None:
-        # C-ordered copies: a stacked dot of v with itself (linalg._dots)
-        # gives other bits for other layouts.
+        # C-ordered copies: the bits of a stacked dot depend on the layout.
         u = np.array(self.u, dtype=float, order="C")
         v = np.array(self.v, dtype=float, order="C")
         beta = np.array(self.beta, dtype=float, order="C")

@@ -12,46 +12,8 @@ matrix accurate to machine precision instead of ``sqrt(eps)``.
 All functions are pure and thread-safe.  NaN/Inf inputs are rejected at the
 boundary; nothing downstream is expected to cope with them.
 
-Exact batching.  All three solvers, and the measures built on them, take a
-stack of ``N`` inputs and evaluate it with elementwise NumPy; a single input is
-the ``N = 1`` case.  A stack must give the same bits as ``N`` separate calls, and
-the same bits as the scalar code these kernels replaced, so that outputs
-printed to 12 or 15 digits never change.  Several obvious array calls break
-that (measured with NumPy 2.4 on AVX-512, 20000 Haar states):
-
-- Complex-array ``*`` runs a fused multiply-add SIMD loop and differed in the
-  last bit from NumPy's scalar complex multiply on 8590 states; a product
-  that was scalar is written out in real arithmetic, which matched on all.
-- ``np.abs`` of a complex array differed from the scalar modulus on 6871
-  states; ``np.hypot(re, im)`` matched on all.
-- Array ``x ** 2`` is a plain square and differed from scalar ``x ** 2``
-  (libm ``pow``) on 18 states; ``np.float_power(x, 2.0)`` calls ``pow``.
-- ``np.einsum("ni,ni->n")`` norms differed from ``np.linalg.norm`` on 2154
-  (length 3) and 5242 (length 8) states: the latter is a BLAS dot.  A
-  stacked ``matmul`` of a row by a column makes that same BLAS call per
-  vector, with the same strides, and matched on all (:func:`_dots`).
-- The codec (:mod:`ent23.bases`) adds only the nonzero terms where
-  ``einsum`` added all 36, and gives einsum's bits.  Every column of every
-  operator holds at most one nonzero, so einsum's partial sums of a trace
-  take its nonzero terms one at a time, from 0.0, in ascending position
-  ``6a + b``, as the sparse sums do.  In one decoder group, an entry sums
-  at most two nonzero terms in its real part and two in its imaginary
-  part, so their order (ascending ``k``) cannot change a bit.  The zero
-  weights that pad the tables add only +-0, and a sum that starts from +0
-  never comes out as -0.  Every operator entry is real or purely
-  imaginary, so one partial product of each complex product is an exact
-  zero, and the FMA loop of complex ``*`` rounds as einsum's products do.
-  ``take`` keeps each gathered stack in C order; ``x[..., index]`` gave
-  Fortran order, and from a Fortran-ordered ``v`` the stacked
-  :func:`_dots` gave other bits.
-- The stacked ``matmul`` for the qubit reduced matrix matched bit for bit.
-- Entropies keep ``math.log2`` per element, the 3x3 solver ``math.acos`` and
-  ``math.cos``: NumPy's SIMD versions differ from libm's in the last bit.
-  The same holds for the random stream's Box-Muller ``log``: ``np.log``
-  differed from ``math.log`` on 657 of 200000 inputs (:mod:`ent23.rng`).
-- The 3x3 guard ``big == 0 -> other = 0`` stays apart from the 2x2 form
-  ``det / (big + (big == 0))``, whose numerator vanishes with ``big``; the
-  deflated pair's product need not, and sharing changed 103 of 22317 spectra.
+All three solvers take a stack of ``N`` matrices as well as one, and give each
+the bits of a one-matrix call (:mod:`ent23._exact`).
 """
 
 from __future__ import annotations
@@ -61,6 +23,7 @@ import operator
 
 import numpy as np
 
+from ._exact import TINY, cmul, libm_map, minor, modulus, norm, square
 from .errors import ValidationError
 
 #: Maximum entrywise deviation from the conjugate transpose accepted as Hermitian.
@@ -180,7 +143,6 @@ def hermitian_eig2(matrix):
 
 _EYE2 = np.eye(2, dtype=complex)
 _EYE2.setflags(write=False)
-_TINY = np.finfo(float).tiny
 
 
 def hermitian_eigvecs2(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -206,10 +168,10 @@ def hermitian_eigvecs2(matrix) -> tuple[np.ndarray, np.ndarray]:
     cands[..., 0, 1] = w1 - m.T[0, 0].real
     cands[..., 1, 0] = w1 - m.T[1, 1].real
     cands[..., 1, 1] = np.conj(b)
-    norm_a, norm_b = _complex_norms(cands).T
+    norm_a, norm_b = norm(cands).T
     v1 = np.where((norm_a >= norm_b)[..., None], cands[..., 0, :], cands[..., 1, :])
     # Only a degenerate matrix, replaced below, can give two zero candidates.
-    v1 = v1 / np.maximum(np.maximum(norm_a, norm_b), _TINY)[..., None]
+    v1 = v1 / np.maximum(np.maximum(norm_a, norm_b), TINY)[..., None]
     c0, c1 = v1.T
     # Built transposed: columns v1 and its orthogonal complement; (2,) values
     # and (2, 2) vectors for one matrix, (N, 2) and (N, 2, 2) for a stack.
@@ -217,45 +179,6 @@ def hermitian_eigvecs2(matrix) -> tuple[np.ndarray, np.ndarray]:
     w = np.ldexp((w1, w2), shift)
     vectors[w[0] - w[1] <= DEGENERACY_TOL] = _EYE2
     return w.T, vectors
-
-
-def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``x @ y`` of each pair of vectors along the last axis.
-
-    A stacked row-by-column ``matmul`` makes, per pair, the same BLAS dot call
-    as ``x @ y`` on one pair, so the bits match (see the module notes).
-    """
-    return np.matmul(x[..., None, :], y[..., :, None])[..., 0, 0][()]
-
-
-def _complex_norms(z: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each complex vector along the last axis of ``z``.
-
-    As there, the real and the imaginary parts are dotted separately, each
-    as a stride-2 view of the interleaved array, and the two sums added;
-    here both dots of a vector go through one stacked ``matmul``.  ``z`` must
-    be contiguous along its last axis.
-    """
-    parts = z.view(np.float64).reshape(z.shape + (2,)).swapaxes(-1, -2)
-    squares = np.matmul(parts[..., None, :], parts[..., :, None])
-    return np.sqrt(squares[..., 0, 0, 0] + squares[..., 1, 0, 0])
-
-
-def _cmul(x, y):
-    """``x * y`` of ``(re, im)`` pairs, rounded as NumPy's scalar complex multiply."""
-    (xr, xi), (yr, yi) = x, y
-    return xr * yr - xi * yi, xr * yi + xi * yr
-
-
-def _minor(re, im, r, s, j, k):
-    """``(re, im)`` of the 2x2 minor ``x[r, j] x[s, k] - x[r, k] x[s, j]``;
-    ``re[j, i]`` and ``im[j, i]`` are the parts of ``x[i, j]``."""
-    ur, ui = _cmul((re[j, r], im[j, r]), (re[k, s], im[k, s]))
-    vr, vi = _cmul((re[k, r], im[k, r]), (re[j, s], im[j, s]))
-    return ur - vr, ui - vi
-
-
-_ACOS, _COS = (np.vectorize(f, otypes=[float]) for f in (math.acos, math.cos))
 
 
 def hermitian_eig3(matrix):
@@ -277,23 +200,22 @@ def hermitian_eig3(matrix):
     """
     m, shift = _scaled(_checked(matrix, 3))
     a, b, c = m.T[0, 0].real, m.T[1, 1].real, m.T[2, 2].real
-    s01, s02, s12 = (np.float_power(np.hypot(z.real, z.imag), 2.0)
-                     for z in (m.T[1, 0], m.T[2, 0], m.T[2, 1]))
+    s01, s02, s12 = (square(modulus(z)) for z in (m.T[1, 0], m.T[2, 0], m.T[2, 1]))
     trace = a + b + c
     q = trace / 3.0
-    p2 = (np.float_power(a - q, 2.0) + np.float_power(b - q, 2.0)
-          + np.float_power(c - q, 2.0) + 2.0 * ((s01 + s02) + s12))
+    p2 = square(a - q) + square(b - q) + square(c - q) + 2.0 * ((s01 + s02) + s12)
     # p2 == 0 gives (q, q, q), selected at the end; p = 1 keeps it finite.
     p = np.sqrt(p2 / 6.0) + (p2 == 0.0)
     # Parts of (m - q I) / p, transposed so that a per-matrix q and p broadcast.
     s = (m.T - np.multiply.outer(np.eye(3), q)) / p
     re, im = s.real, s.imag
     # Real part of the cofactor expansion along row 0.
-    t = [_cmul((re[j, 0], im[j, 0]), _minor(re, im, 1, 2, *cols))[0]
+    t = [cmul((re[j, 0], im[j, 0]), minor(re, im, 1, 2, *cols))[0]
          for j, cols in enumerate(((1, 2), (0, 2), (0, 1)))]
     r = np.clip(((t[0] - t[1]) + t[2]) / 2.0, -1.0, 1.0)
-    phi = _ACOS(r) / 3.0
-    isolated = q + 2.0 * p * _COS(np.where(r >= 0.0, phi, phi + 2.0 * math.pi / 3.0))
+    phi = libm_map(math.acos, r) / 3.0
+    angle = np.where(r >= 0.0, phi, phi + 2.0 * math.pi / 3.0)
+    isolated = q + 2.0 * p * libm_map(math.cos, angle)
     minors = (a * b - s01) + (a * c - s02) + (b * c - s12)
     pair_sum = trace - isolated
     pair_prod = minors - isolated * pair_sum

@@ -26,8 +26,8 @@ quantities are read so that a single state computes on NumPy scalars
 rather than on one-element arrays).  Batching never changes a number: each
 element is bit-identical to the one-state call, which is what keeps
 ``ent23 sample`` output byte-identical while it measures and writes its rows
-a chunk at a time.  The module notes of :mod:`ent23.linalg` list the NumPy
-calls avoided for that.
+a chunk at a time.  :mod:`ent23._exact` lists the NumPy calls avoided for
+that.
 """
 
 from __future__ import annotations
@@ -37,19 +37,10 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from ._exact import TINY, dot, minor, modulus, norm, square, unit
 from .bases import CoherenceDecomposition, DensityMatrix, decompose, reduced_a
 from .errors import ValidationError
-from .linalg import (
-    _TINY,
-    _complex_norms,
-    _dots,
-    _minor,
-    _worst,
-    hermitian_eig2,
-    hermitian_eig3,
-    hermitian_eigvecs2,
-    require_finite,
-)
+from .linalg import _worst, hermitian_eig2, hermitian_eig3, hermitian_eigvecs2, require_finite
 
 #: Construction tolerance on the squared norm of a pure state.
 STATE_NORM_TOL = 1e-9
@@ -167,7 +158,7 @@ class EntanglementReport:
         return asdict(self)
 
 
-def embed_qutrit(psi: PureState) -> PureState:
+def _embed_qutrit(psi: PureState) -> PureState:
     """View a qubit-qubit state as qubit-qutrit by appending a zero column."""
     if psi.d_b == 3:
         return psi
@@ -185,13 +176,12 @@ def concurrence_amplitudes(psi: PureState):
     # re[j, i] is the real part of a[..., i, j]: a NumPy scalar for one state.
     re, im = psi.amplitudes.real.T, psi.amplitudes.imag.T
     pairs = ((0, 1),) if psi.d_b == 2 else ((0, 1), (2, 0), (1, 2))
-    minors_re, minors_im = zip(*(_minor(re, im, 0, 1, *cols) for cols in pairs))
-    # |m| as NumPy's scalar modulus computes it, and |m|**2 as libm pow does.
+    minors_re, minors_im = zip(*(minor(re, im, 0, 1, *cols) for cols in pairs))
     moduli = np.hypot(np.array(minors_re), np.array(minors_im))
     if psi.d_b == 2:
         c = 2.0 * moduli[0]
     else:
-        squares = np.float_power(moduli, 2.0)
+        squares = square(moduli)
         c = 2.0 * np.sqrt((squares[0] + squares[1]) + squares[2])
     return _out(np.minimum(1.0, c))
 
@@ -207,14 +197,14 @@ def concurrence_bloch(psi: PureState | CoherenceDecomposition):
     if isinstance(psi, CoherenceDecomposition):
         coeffs = psi
     else:
-        coeffs = decompose(embed_qutrit(psi).density())
-    return _out(np.sqrt(np.maximum(0.0, 1.0 - _dots(coeffs.u, coeffs.u))))
+        coeffs = decompose(_embed_qutrit(psi).density())
+    return _out(np.sqrt(np.maximum(0.0, 1.0 - dot(coeffs.u, coeffs.u))))
 
 
 def _canonical_phase(vecs: np.ndarray) -> np.ndarray:
     """Rotate the global phase of each unit vector along the last axis so its
     first component above :data:`PHASE_TOL` in modulus is real positive."""
-    mags = np.hypot(vecs.real, vecs.imag)
+    mags = modulus(vecs)
     lead = (mags > PHASE_TOL).argmax(axis=-1)
     if lead.any():
         flat = lead.reshape(-1) + np.arange(0, vecs.size, vecs.shape[-1])
@@ -239,21 +229,17 @@ def _orthonormal_extension(y1: np.ndarray) -> np.ndarray:
     """
     basis = _BASIS[y1.shape[1]]
     chosen = basis[0] - y1 * np.conj(y1[:, :1])
-    residual = _complex_norms(chosen)
+    residual = norm(chosen)
     retry = residual <= 0.5
     if retry.any():
         chosen[retry] = basis[1] - y1[retry] * np.conj(y1[retry, 1:2])
-        residual[retry] = _complex_norms(chosen[retry])
+        residual[retry] = norm(chosen[retry])
     return _canonical_phase(chosen / residual[:, None])
-
-
-def _unit(z: np.ndarray) -> np.ndarray:
-    return z / _complex_norms(z)[..., None]
 
 
 def _orthogonal_unit(y2: np.ndarray, y1: np.ndarray) -> np.ndarray:
     """``y2`` re-orthogonalized against unit ``y1``, normalized."""
-    return _unit(y2 - y1 * _dots(np.conj(y1), y2)[..., None])
+    return unit(y2 - y1 * dot(np.conj(y1), y2)[..., None])
 
 
 def schmidt_decompose(psi: PureState) -> SchmidtForm:
@@ -289,8 +275,8 @@ def schmidt_decompose(psi: PureState) -> SchmidtForm:
     # k1 >= 1/sqrt(2); a k2 flushed below makes a row that is not used, and
     # the floor on the divisor keeps it finite.
     y = np.matmul(a.swapaxes(-1, -2)[..., None, :, :], np.conj(x)[..., None])[..., 0]
-    y = y / np.maximum(k, _TINY)[..., None]
-    y1 = _unit(y[..., 0, :])
+    y = y / np.maximum(k, TINY)[..., None]
+    y1 = unit(y[..., 0, :])
     flush = k2 <= SCHMIDT_ZERO_TOL
     if flush.any():
         keep = ~flush
@@ -330,11 +316,7 @@ def _bits(distribution) -> float:
 
 
 def _entropies(rows, shape) -> np.ndarray:
-    """:func:`_bits` of each row, as an array of ``shape``.
-
-    The ``p log2 p`` terms stay per element in Python with ``math.log2``:
-    NumPy's SIMD log2 differs from libm's in the last bit.
-    """
+    """:func:`_bits` of each row, as an array of ``shape``."""
     return np.array([_bits(row) for row in rows]).reshape(shape)
 
 
@@ -384,6 +366,28 @@ def von_neumann_entropy(rho: DensityMatrix):
     return _out(_entropies(p.reshape(-1, rho.dim).tolist(), mat.shape[:-2]))
 
 
+def _measure(psi: PureState):
+    """``(full_report(psi), rho_ab, rho_a, coeffs, form)``: the report, then the
+    projector, qubit reduced matrix, codec output and Schmidt form behind it."""
+    rho_ab = _embed_qutrit(psi).density()
+    rho_a = reduced_a(rho_ab)
+    coeffs = decompose(rho_ab)
+    form = schmidt_decompose(psi)
+    c_amp = concurrence_amplitudes(psi)
+    report = EntanglementReport(
+        c_amplitude=c_amp,
+        c_bloch=concurrence_bloch(coeffs),
+        c_schmidt=concurrence_schmidt(form),
+        eof=eof_from_concurrence(c_amp),
+        vn_entropy_a=von_neumann_entropy(rho_a),
+        u_norm=_out(np.sqrt(dot(coeffs.u, coeffs.u))),
+        v_norm=_out(np.sqrt(dot(coeffs.v, coeffs.v))),
+        k1=form.k1,
+        k2=form.k2,
+    )
+    return report, rho_ab, rho_a, coeffs, form
+
+
 def full_report(psi: PureState) -> EntanglementReport:
     """Compute every measure of ``psi``, each along its own route.
 
@@ -394,18 +398,4 @@ def full_report(psi: PureState) -> EntanglementReport:
     than masked here.  The codec output behind ``c_bloch`` also gives the
     coherence norms.  A stack of states gives a report of arrays.
     """
-    rho_ab = embed_qutrit(psi).density()
-    coeffs = decompose(rho_ab)
-    form = schmidt_decompose(psi)
-    c_amp = concurrence_amplitudes(psi)
-    return EntanglementReport(
-        c_amplitude=c_amp,
-        c_bloch=concurrence_bloch(coeffs),
-        c_schmidt=concurrence_schmidt(form),
-        eof=eof_from_concurrence(c_amp),
-        vn_entropy_a=von_neumann_entropy(reduced_a(rho_ab)),
-        u_norm=_out(np.sqrt(_dots(coeffs.u, coeffs.u))),
-        v_norm=_out(np.sqrt(_dots(coeffs.v, coeffs.v))),
-        k1=form.k1,
-        k2=form.k2,
-    )
+    return _measure(psi)[0]

@@ -19,10 +19,8 @@ generators of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
 2**64 exactly as the definition does.  ``next_gaussian(n)`` gives the bits of
 ``n`` one-draw calls and leaves the counter where they would.  The uniforms,
 ``sqrt`` and the products by ``-2.0`` and ``2.0 * pi`` are exact or
-correctly rounded in NumPy too, but ``log`` and ``cos`` are applied per
-element with libm's ``math.log`` and ``math.cos``: NumPy's SIMD ``np.log``
-differed from ``math.log`` on 657 of 200000 inputs (AVX-512, NumPy 2.4), so
-a fully vectorized Box-Muller would silently change every sampled state.
+correctly rounded in NumPy too, but ``log`` and ``cos`` are libm's, applied
+per element (why, in :mod:`ent23._exact`).
 
 Streams are plain mutable values.  Concurrent samplers must not share one
 stream, and there is no split operation: give each sampler its own seed.
@@ -31,10 +29,13 @@ stream, and there is no split operation: give each sampler its own seed.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
+from ._exact import libm_map
+from .errors import ValidationError
 from .linalg import require_count
 
 _MASK64 = (1 << 64) - 1
@@ -54,14 +55,19 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class RandomStream:
-    """Deterministic stream of pseudo-random draws identified by a 64-bit seed."""
+    """Deterministic stream of pseudo-random draws identified by a 64-bit seed.
+    An integer seed or counter is taken mod ``2**64``; a float is rejected."""
 
     seed: int
     counter: int = 0
 
     def __post_init__(self) -> None:
-        self.seed = int(self.seed) & _MASK64
-        self.counter = int(self.counter) & _MASK64
+        try:
+            seed, counter = operator.index(self.seed), operator.index(self.counter)
+        except TypeError:
+            raise ValidationError("seed and counter must be integers, got "
+                                  f"{self.seed!r} and {self.counter!r}") from None
+        self.seed, self.counter = seed & _MASK64, counter & _MASK64
 
     def _words(self, count: int) -> np.ndarray:
         """The next ``count`` raw words, each shifted down to its top 53 bits."""
@@ -77,7 +83,5 @@ class RandomStream:
         words = self._words(2 * count)
         u = (words[0::2] + np.uint64(1)) * _INV_2_53   # in (0, 1], log-safe
         v = words[1::2] * _INV_2_53                     # in [0, 1)
-        logs = np.fromiter(map(math.log, u.tolist()), float, count)
-        cosines = np.fromiter(map(math.cos, (_TWO_PI * v).tolist()), float, count)
-        draws = np.sqrt(-2.0 * logs) * cosines
+        draws = np.sqrt(-2.0 * libm_map(math.log, u)) * libm_map(math.cos, _TWO_PI * v)
         return float(draws[0]) if n is None else draws

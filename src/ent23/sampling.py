@@ -12,9 +12,10 @@ import math
 
 import numpy as np
 
+from ._exact import unit
 from .errors import ValidationError
 from .linalg import require_count, require_finite
-from .measures import PureState, _unit
+from .measures import PureState
 from .rng import RandomStream
 
 #: Tolerance on the norm of the factors passed to :func:`product_state`.
@@ -55,8 +56,7 @@ def haar_random(dims: tuple[int, int], stream: RandomStream, n: int | None = Non
 def _haar_grids(gaussians: np.ndarray) -> np.ndarray:
     """The amplitude grids of :func:`haar_random` from a stack ``(N, 2 * d_b)``
     of its complex Gaussians."""
-    # Divides by np.linalg.norm of each grid, bit for bit, for less overhead.
-    return _unit(gaussians).reshape(len(gaussians), 2, -1)
+    return unit(gaussians).reshape(len(gaussians), 2, -1)
 
 
 def haar_chunks(dims: tuple[int, int], stream: RandomStream, n: int):

@@ -13,9 +13,10 @@ random ensemble, and the random states and local unitaries of the rotation
 pairs, are drawn and checked in chunks of :data:`ent23.sampling.CHUNK_STATES`
 states or pairs, so memory does not grow with ``n_states``.  The chunk size
 never changes the outcome, because a stacked call gives every state the bits
-of a call on that state alone (the module notes of :mod:`ent23.linalg` list
-the NumPy calls avoided for that), and a block of stream draws the bits of
-one draw at a time.
+of a call on that state alone (:mod:`ent23._exact`), and a block of stream
+draws the bits of one draw at a time.  Each stack is measured once, by the
+pipeline of :func:`~ent23.measures.full_report`: the checks compare the
+fields that ``ent23 sample`` and ``ent23 compute`` print.
 
 The Bloch- and Schmidt-route concurrences and the subsystem entropies take
 square roots of quantities that vanish on rank-deficient reduced states,
@@ -34,19 +35,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bases import decompose, reconstruct, reduced_a, reduced_b, GELL_MANN, PAULI
+from ._exact import dot, modulus, norm, square, unit
+from .bases import reconstruct, reduced_b, GELL_MANN, PAULI
 from .errors import ValidationError
-from .linalg import _complex_norms, _dots, require_count
-from .measures import (
-    PureState,
-    _unit,
-    concurrence_amplitudes,
-    concurrence_bloch,
-    concurrence_schmidt,
-    eof_from_concurrence,
-    schmidt_decompose,
-    von_neumann_entropy,
-)
+from .linalg import require_count
+from .measures import PureState, _measure, concurrence_amplitudes, von_neumann_entropy
 from .rng import RandomStream
 from .sampling import (
     _complex_gaussians,
@@ -134,46 +127,35 @@ def _outside_unit(values: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, np.maximum(-values, values - 1.0))
 
 
-def _check_stack(psi: PureState, worst: dict[str, float], amplified) -> dict:
+def _check_stack(psi: PureState, worst: dict[str, float], amplified):
     """Record every check that applies to any state of the stack ``psi``.
 
     ``amplified`` (a per-state mask, or one bool for the stack) selects the
     states that also take the sqrt-amplified comparisons.  Returns the
-    per-state quantities the family checks need.
+    stack's report and its qubit purities, for the family checks.
     """
-    c_amp = concurrence_amplitudes(psi)
-    form = schmidt_decompose(psi)
-    rho = psi.density()
-    coeffs = decompose(rho)
-    rho_a = reduced_a(rho)
+    report, rho, rho_a, coeffs, form = _measure(psi)
+    c_amp, c_blo, c_sch = report.c_amplitude, report.c_bloch, report.c_schmidt
+    s_a = report.vn_entropy_a
     rho_b = reduced_b(rho)
-    u_norm = np.sqrt(_dots(coeffs.u, coeffs.u))
-    v_norm = np.sqrt(_dots(coeffs.v, coeffs.v))
-
-    c_blo = concurrence_bloch(coeffs)
-    c_sch = concurrence_schmidt(form)
-    s_a = von_neumann_entropy(rho_a)
-    s_b = von_neumann_entropy(rho_b)
     det_a = np.linalg.det(rho_a.matrix).real
     for name, errors in (
         ("concurrence-amplitude-vs-bloch", abs(c_amp - c_blo)),
         ("concurrence-amplitude-vs-schmidt", abs(c_amp - c_sch)),
         ("concurrence-bloch-vs-schmidt", abs(c_blo - c_sch)),
         ("concurrence-range", np.maximum(_outside_unit(c_blo), _outside_unit(c_sch))),
-        ("eof-vs-entropy-a", abs(eof_from_concurrence(c_amp) - s_a)),
-        ("entropy-a-vs-entropy-b", abs(s_a - s_b)),
+        ("eof-vs-entropy-a", abs(report.eof - s_a)),
+        ("entropy-a-vs-entropy-b", abs(s_a - von_neumann_entropy(rho_b))),
         ("schmidt-quadratic", abs(4.0 * det_a - c_amp * c_amp)),
     ):
         _record(worst, name, np.where(amplified, errors, 0.0))
 
     _record(worst, "concurrence-range", _outside_unit(c_amp))
-    # x ** 2 of a float is libm pow, which np.float_power calls (ent23.linalg).
-    _record(worst, "schmidt-normalization",
-            abs(np.float_power(form.k1, 2.0) + np.float_power(form.k2, 2.0) - 1.0))
+    _record(worst, "schmidt-normalization", abs(square(form.k1) + square(form.k2) - 1.0))
     _record(worst, "schmidt-orthonormality", np.maximum.reduce([
-        _modulus(_dots(np.conj(form.x1), form.x2)),
-        _modulus(_dots(np.conj(form.y1), form.y2)),
-        *(abs(_complex_norms(np.ascontiguousarray(vec)) - 1.0)
+        modulus(dot(np.conj(form.x1), form.x2)),
+        modulus(dot(np.conj(form.y1), form.y2)),
+        *(abs(norm(np.ascontiguousarray(vec)) - 1.0)
           for vec in (form.x1, form.x2, form.y1, form.y2)),
     ]))
 
@@ -181,11 +163,10 @@ def _check_stack(psi: PureState, worst: dict[str, float], amplified) -> dict:
     # vector itself (an expansion into squared norms cancels catastrophically).
     rebuilt = form.reconstruct().reshape(-1, 6)
     vec = psi.vector()
-    overlap = _dots(np.conj(rebuilt), vec)
-    size = _modulus(overlap)
+    overlap = dot(np.conj(rebuilt), vec)
+    size = modulus(overlap)
     phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0.0)
-    _record(worst, "schmidt-reconstruction",
-            _complex_norms(vec - rebuilt * phase[:, None]))
+    _record(worst, "schmidt-reconstruction", norm(vec - rebuilt * phase[:, None]))
 
     _record(worst, "codec-round-trip",
             np.abs(reconstruct(coeffs) - rho.matrix).max(axis=(1, 2)))
@@ -196,16 +177,9 @@ def _check_stack(psi: PureState, worst: dict[str, float], amplified) -> dict:
         np.abs(rho_a.matrix - expect_a).max(axis=(1, 2)),
         np.abs(rho_b.matrix - expect_b).max(axis=(1, 2))))
     _record(worst, "purity-relation",
-            abs(np.float_power(v_norm, 2.0) - (1.0 + 3.0 * np.float_power(u_norm, 2.0)) / 4.0))
+            abs(square(report.v_norm) - (1.0 + 3.0 * square(report.u_norm)) / 4.0))
 
-    purity_a = np.einsum("nij,nji->n", rho_a.matrix, rho_a.matrix).real
-    return {"u_norm": u_norm, "v_norm": v_norm, "purity_a": purity_a,
-            "c_amp": c_amp, "form": form}
-
-
-def _modulus(z: np.ndarray) -> np.ndarray:
-    # The scalar modulus abs(z); np.abs of a complex array rounds differently.
-    return np.hypot(z.real, z.imag)
+    return report, np.einsum("nij,nji->n", rho_a.matrix, rho_a.matrix).real
 
 
 def run_verification(n_states: int = 1000, seed: int = 42,
@@ -225,12 +199,12 @@ def run_verification(n_states: int = 1000, seed: int = 42,
     gap_max = 0.0
 
     for psi in haar_chunks((2, 3), stream, n_states):
-        stats = _check_stack(psi, worst, True)
+        report, purity_a = _check_stack(psi, worst, True)
         # Summed left to right, as one state at a time: np.sum adds pairwise
         # and Python's sum() compensates (3.12+), both changing the last bits.
-        for purity in stats["purity_a"].tolist():
+        for purity in purity_a.tolist():
             purity_sum += purity
-        gap_max = max(gap_max, float(np.max(abs(stats["u_norm"] - stats["v_norm"]))))
+        gap_max = max(gap_max, float(np.max(abs(report.u_norm - report.v_norm))))
 
     # Rotated maximally entangled states cover the C = 1 boundary.  The
     # stream gives each pair's two unitaries in turn.
@@ -244,21 +218,21 @@ def run_verification(n_states: int = 1000, seed: int = 42,
     # k1 = 1 endpoint is rank-1, where the cubic solver's entropy loses
     # precision; keep that point out of the sqrt-amplified comparisons.
     grid = np.array(_SCHMIDT_GRID)
-    stats = _check_stack(
+    report, _ = _check_stack(
         PureState(np.stack([schmidt_pair_state(k1).amplitudes for k1 in _SCHMIDT_GRID])),
         worst, grid < 1.0)
     k2 = np.sqrt(np.maximum(0.0, 1.0 - grid * grid))
     _record(worst, "schmidt-pair-round-trip",
-            np.maximum(abs(stats["form"].k1 - grid), abs(stats["form"].k2 - k2)))
+            np.maximum(abs(report.k1 - grid), abs(report.k2 - k2)))
 
     # Product states sit exactly on the C = 0 boundary: only their robust
     # observables are compared.
     factors = _complex_gaussians(stream, 5 * _N_PRODUCT).reshape(_N_PRODUCT, 5)
     phi_a, phi_b = factors[:, :2], factors[:, 2:]
-    stats = _check_stack(product_state(_unit(phi_a), _unit(phi_b)), worst, False)
+    report, _ = _check_stack(product_state(unit(phi_a), unit(phi_b)), worst, False)
     _record(worst, "product-state-norms",
-            np.maximum(abs(stats["u_norm"] - 1.0), abs(stats["v_norm"] - 1.0)))
-    _record(worst, "product-state-concurrence", stats["c_amp"])
+            np.maximum(abs(report.u_norm - 1.0), abs(report.v_norm - 1.0)))
+    _record(worst, "product-state-concurrence", report.c_amplitude)
 
     # The stream gives each pair as its state's 6 complex Gaussians, then
     # those of its two unitaries (4 and 9): one block per chunk of pairs.

@@ -13,11 +13,11 @@ from ent23 import (
     DensityMatrix,
     GELL_MANN,
     PAULI,
+    PureState,
     RandomStream,
     ValidationError,
     concurrence_bloch,
     decompose,
-    embed_qutrit,
     full_report,
     haar_random,
     product_state,
@@ -26,7 +26,7 @@ from ent23 import (
     reduced_b,
 )
 from ent23.bases import _PAIR_OPS, _QUBIT_OPS, _QUTRIT_OPS, DENSITY_EIGENVALUE_FLOOR
-from ent23.linalg import _dots
+from ent23._exact import dot
 from test_batch import family_stack, same_bits
 
 SQRT3 = math.sqrt(3.0)
@@ -180,10 +180,11 @@ def einsum_reconstruct(coeffs):
 
 def codec_test_matrices():
     """Haar, product and near-product states of both dims (the qubit-qubit ones
-    embedded), then every basis state and every two-term superposition of
-    basis states with amplitudes +-1 and +-i."""
-    states = [embed_qutrit(psi) for d_b in (2, 3) for psi in family_stack(d_b)]
-    mats = [psi.density().matrix for psi in states]
+    zero-padded to (2, 3)), then every basis state and every two-term
+    superposition of basis states with amplitudes +-1 and +-i."""
+    grids = [np.pad(psi.amplitudes, ((0, 0), (0, 3 - psi.d_b)))
+             for d_b in (2, 3) for psi in family_stack(d_b)]
+    mats = [PureState(grid).density().matrix for grid in grids]
     phases = (1, -1, 1j, -1j)
     for first in range(6):
         for p in phases:
@@ -234,7 +235,7 @@ def test_coherence_bits_do_not_depend_on_memory_layout():
         assert same_bits(getattr(fortran, name), getattr(coeffs, name))
     assert same_bits(concurrence_bloch(fortran), concurrence_bloch(coeffs))
     assert same_bits(reconstruct(fortran), reconstruct(coeffs))
-    assert same_bits(_dots(fortran.v, fortran.v), _dots(coeffs.v, coeffs.v))
+    assert same_bits(dot(fortran.v, fortran.v), dot(coeffs.v, coeffs.v))
 
 
 def test_reduced_matrices_match_coefficient_form():

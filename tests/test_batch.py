@@ -7,8 +7,8 @@ import math
 import numpy as np
 import pytest
 
+import ent23.measures
 import ent23.sampling
-import ent23.verify
 from ent23 import (
     DensityMatrix,
     EntanglementReport,
@@ -37,7 +37,7 @@ from ent23 import (
     schmidt_pair_state,
     von_neumann_entropy,
 )
-from ent23.linalg import _dots
+from ent23._exact import dot
 
 FIELDS = [field.name for field in dataclasses.fields(EntanglementReport)]
 SCHMIDT_GRID = (1.0 / math.sqrt(2.0), 0.75, math.sqrt(3.0) / 2.0, 0.9, 0.97, 1.0)
@@ -69,11 +69,8 @@ def family_stack(d_b, seed=2006):
     return states
 
 
-def same(a, b):
-    return np.array_equal(np.asarray(a), np.asarray(b))
-
-
 def same_bits(a, b):
+    """Equal shape, dtype and bytes; ``np.array_equal`` would not tell -0.0 from 0.0."""
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
@@ -87,7 +84,7 @@ def test_stacked_full_report_equals_per_state_calls(d_b):
         for name in FIELDS:
             value = getattr(single, name)
             assert type(value) is float
-            assert getattr(stacked, name)[index] == value, (name, index)
+            assert same_bits(getattr(stacked, name)[index], value), (name, index)
 
 
 @pytest.mark.parametrize("d_b", (2, 3))
@@ -97,11 +94,11 @@ def test_stacked_schmidt_form_equals_per_state_calls(d_b):
     flushed = 0
     for index, psi in enumerate(states):
         single = schmidt_decompose(psi)
-        assert stacked.k1[index] == single.k1
-        assert stacked.k2[index] == single.k2
+        assert same_bits(stacked.k1[index], single.k1)
+        assert same_bits(stacked.k2[index], single.k2)
         flushed += single.k2 == 0.0
         for name in ("x1", "x2", "y1", "y2"):
-            assert same(getattr(stacked, name)[index], getattr(single, name)), (name, index)
+            assert same_bits(getattr(stacked, name)[index], getattr(single, name)), (name, index)
     assert flushed >= 12  # the product states and k1 = 1 take the flush branch
 
 
@@ -113,11 +110,11 @@ def test_stacked_routes_equal_per_state_calls(d_b):
     c_blo = concurrence_bloch(stack)
     c_sch = concurrence_schmidt(schmidt_decompose(stack))
     for index, psi in enumerate(states):
-        assert c_amp[index] == concurrence_amplitudes(psi)
-        assert c_blo[index] == concurrence_bloch(psi)
-        assert c_sch[index] == concurrence_schmidt(schmidt_decompose(psi))
+        assert same_bits(c_amp[index], concurrence_amplitudes(psi))
+        assert same_bits(c_blo[index], concurrence_bloch(psi))
+        assert same_bits(c_sch[index], concurrence_schmidt(schmidt_decompose(psi)))
         # full_report hands the Bloch route the codec output it already holds
-        assert full_report(psi).c_bloch == concurrence_bloch(psi)
+        assert same_bits(full_report(psi).c_bloch, concurrence_bloch(psi))
 
 
 def test_stacked_codec_and_reduced_state_equal_per_state_calls():
@@ -129,21 +126,20 @@ def test_stacked_codec_and_reduced_state_equal_per_state_calls():
     entropies = von_neumann_entropy(rho_a)
     entropies_b = von_neumann_entropy(rho_b)
     rebuilt = reconstruct(coeffs)
-    v_squared = _dots(coeffs.v, coeffs.v)
-    # Bytes, not array_equal: that ignores signed zeros, and the stacked v·v
-    # of a differently laid out v differs in its last bits.
+    v_squared = dot(coeffs.v, coeffs.v)
+    # The stacked v·v of a differently laid out v differs in its last bits.
     for index, psi in enumerate(states):
         single = psi.density()
         assert same_bits(rho.matrix[index], single.matrix)
         one = decompose(single)
         for name in ("u", "v", "beta"):
             assert same_bits(getattr(coeffs, name)[index], getattr(one, name))
-        assert same_bits(v_squared[index], _dots(one.v, one.v))
+        assert same_bits(v_squared[index], dot(one.v, one.v))
         assert same_bits(rebuilt[index], reconstruct(one))
         assert same_bits(rho_a.matrix[index], reduced_a(single).matrix)
         assert same_bits(rho_b.matrix[index], reduced_b(single).matrix)
-        assert entropies[index] == von_neumann_entropy(reduced_a(single))
-        assert entropies_b[index] == von_neumann_entropy(reduced_b(single))
+        assert same_bits(entropies[index], von_neumann_entropy(reduced_a(single)))
+        assert same_bits(entropies_b[index], von_neumann_entropy(reduced_b(single)))
 
 
 @pytest.mark.parametrize("d_b", (2, 3))
@@ -152,7 +148,7 @@ def test_stacked_haar_draw_equals_per_state_draws(d_b):
     stack = haar_random((2, d_b), stacked_stream, n=37)
     singles = [haar_random((2, d_b), single_stream) for _ in range(37)]
     assert stack.amplitudes.shape == (37, 2, d_b)
-    assert same(stack.amplitudes, np.stack([psi.amplitudes for psi in singles]))
+    assert same_bits(stack.amplitudes, np.stack([psi.amplitudes for psi in singles]))
     assert stacked_stream.counter == single_stream.counter == 37 * 8 * d_b
     assert haar_random((2, d_b), RandomStream(5)).amplitudes.shape == (2, d_b)
     with pytest.raises(ValidationError):
@@ -165,7 +161,7 @@ def test_stacked_unitary_draw_equals_per_matrix_draws(dim):
     stack = random_unitary(dim, stacked_stream, n=37)
     singles = [random_unitary(dim, single_stream) for _ in range(37)]
     assert stack.shape == (37, dim, dim)
-    assert same(stack, np.stack(singles))
+    assert same_bits(stack, np.stack(singles))
     assert stacked_stream.counter == single_stream.counter == 37 * 4 * dim * dim
     with pytest.raises(ValidationError):
         random_unitary(dim, RandomStream(5), n=0)
@@ -181,13 +177,13 @@ def test_stacked_rotation_and_product_equal_per_state_calls(d_b):
     rotated = rotate_local(stack, np.stack(u_a), np.stack(u_b))
     for index, psi in enumerate(states):
         one = rotate_local(psi, u_a[index], u_b[index])
-        assert same(rotated.amplitudes[index], one.amplitudes)
+        assert same_bits(rotated.amplitudes[index], one.amplitudes)
     phi_a = np.stack([unit(u[:, 0]) for u in u_a])
     phi_b = np.stack([unit(u[:, 1]) for u in u_b])
     products = product_state(phi_a, phi_b)
     for index in range(len(states)):
         one = product_state(phi_a[index], phi_b[index])
-        assert same(products.amplitudes[index], one.amplitudes)
+        assert same_bits(products.amplitudes[index], one.amplitudes)
     with pytest.raises(ValidationError):
         product_state(phi_a, phi_b[:-1])
 
@@ -216,12 +212,12 @@ def test_stacked_eig2_covers_zero_and_degenerate_matrices():
     values = hermitian_eig2(stack)
     vec_values, vectors = hermitian_eigvecs2(stack)
     for index, m in enumerate(matrices):
-        assert tuple(values[index]) == hermitian_eig2(m)
+        assert same_bits(values[index], hermitian_eig2(m))
         one_values, one_vectors = hermitian_eigvecs2(m)
-        assert same(vec_values[index], one_values)
-        assert same(vectors[index], one_vectors)
+        assert same_bits(vec_values[index], one_values)
+        assert same_bits(vectors[index], one_vectors)
     assert hermitian_eig2(np.zeros((2, 2))) == (0.0, 0.0)
-    assert same(vectors[1], np.eye(2))
+    assert same_bits(vectors[1], np.eye(2, dtype=complex))
 
 
 def eig3_matrices():
@@ -246,15 +242,15 @@ def test_stacked_eig3_equals_per_matrix_calls():
     values = hermitian_eig3(np.stack(matrices).astype(complex))
     assert values.shape == (len(matrices), 3)
     for index, m in enumerate(matrices):
-        assert tuple(values[index]) == hermitian_eig3(m), index
+        assert same_bits(values[index], hermitian_eig3(m)), index
     assert hashlib.sha256(values.tobytes()).hexdigest() == EIG3_DIGEST
     assert hermitian_eig3(np.eye(3) / 3) == (1 / 3, 1 / 3, 1 / 3)
 
 
 def test_elementwise_entropies_equal_scalar_calls():
     xs = np.concatenate([np.linspace(0.0, 1.0, 101), [1e-300, 1.0 - 1e-16]])
-    assert same(binary_entropy(xs), [binary_entropy(float(x)) for x in xs])
-    assert same(eof_from_concurrence(xs), [eof_from_concurrence(float(x)) for x in xs])
+    assert same_bits(binary_entropy(xs), [binary_entropy(float(x)) for x in xs])
+    assert same_bits(eof_from_concurrence(xs), [eof_from_concurrence(float(x)) for x in xs])
     assert type(eof_from_concurrence(0.5)) is float
 
 
@@ -291,7 +287,7 @@ def test_nan_error_fails_its_check(monkeypatch):
         c = concurrence_schmidt(form)
         return np.where(np.arange(len(c)) == 1, np.nan, c)
 
-    monkeypatch.setattr(ent23.verify, "concurrence_schmidt", nan_on_second)
+    monkeypatch.setattr(ent23.measures, "concurrence_schmidt", nan_on_second)
     outcome = run_verification(n_states=5, seed=1)
     assert math.isnan(outcome.check("concurrence-amplitude-vs-schmidt").max_error)
     assert not outcome.check("concurrence-amplitude-vs-schmidt").passed

@@ -14,7 +14,6 @@ from ent23 import (
     concurrence_amplitudes,
     concurrence_bloch,
     concurrence_schmidt,
-    embed_qutrit,
     eof_from_concurrence,
     full_report,
     haar_random,
@@ -93,14 +92,27 @@ def test_concurrence_two_qubit_form():
     assert concurrence_amplitudes(product22) == 0.0
 
 
+def padded(psi):
+    """``psi`` (or a stack) with a zero column appended to each amplitude grid."""
+    return PureState(np.pad(psi.amplitudes, [(0, 0)] * (psi.amplitudes.ndim - 1) + [(0, 1)]))
+
+
+def report_bits(psi):
+    report = full_report(psi).as_dict()
+    return {name: np.asarray(value).tobytes() for name, value in report.items()}
+
+
 def test_embedding_preserves_amplitude_concurrence():
+    # A qubit-qubit state and its grid zero-padded to (2, 3) are the same
+    # state: every measure of the one has the bits of the other.
     stream = RandomStream(22)
     for _ in range(100):
         psi = haar_random((2, 2), stream)
-        widened = embed_qutrit(psi)
-        assert widened.d_b == 3
         assert abs(concurrence_amplitudes(psi)
-                   - concurrence_amplitudes(widened)) < 1e-12
+                   - concurrence_amplitudes(padded(psi))) < 1e-12
+        assert report_bits(psi) == report_bits(padded(psi))
+    stack = haar_random((2, 2), stream, n=100)
+    assert report_bits(stack) == report_bits(padded(stack))
 
 
 def test_schmidt_decompose_product_state():

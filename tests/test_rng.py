@@ -3,6 +3,7 @@ import math
 import statistics
 import warnings
 
+import numpy as np
 import pytest
 
 from ent23 import RandomStream, ValidationError
@@ -120,3 +121,21 @@ def test_sample_mean_and_spread():
 
 def test_seed_wraps_to_64_bits():
     assert RandomStream(2 ** 64 + 3).seed == 3
+
+
+@pytest.mark.parametrize("seed, counter", [(2.5, 0), (2.0, 0), (np.float64(42.0), 0),
+                                           ("42", 0), (None, 0), (42, 2.9), (42, 2.0)])
+def test_non_integer_seed_or_counter_is_rejected(seed, counter):
+    # Truncating would silently draw another stream: 2.5 gave seed 2's.
+    with pytest.raises(ValidationError, match="must be integers"):
+        RandomStream(seed, counter)
+
+
+def test_integer_seeds_of_any_kind_are_taken_mod_2_64():
+    for seed in (42, np.int64(42), np.uint64(42), 2 ** 200 + 42):
+        stream = RandomStream(seed)
+        assert type(stream.seed) is int and stream.seed == 42
+        assert [stream.next_gaussian() for _ in range(8)] == GOLDEN_SEED42
+    assert RandomStream(-1).seed == RandomStream(np.int64(-1)).seed == MASK64
+    stream = RandomStream(42, counter=np.int64(-2))
+    assert type(stream.counter) is int and stream.counter == MASK64 - 1
