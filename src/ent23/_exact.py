@@ -22,7 +22,8 @@ modules use them instead:
   stacked ``matmul`` of a row by a column makes that same BLAS call per
   vector, with the same strides, and matched on all (:func:`dot`,
   :func:`norm`).  The strides matter: from a Fortran-ordered stack the
-  stacked dot gave other bits, so stacks are kept in C order.
+  stacked dot gave other bits, so stacks are kept in C order, and
+  :func:`norm` takes a C-ordered copy of whatever it is given.
 - NumPy's SIMD ``log``, ``log2``, ``acos`` and ``cos`` differ from libm's in
   the last bit: ``np.log`` differed from ``math.log`` on 657 of 200000
   inputs.  The random stream's Box-Muller and the 3x3 solver apply libm per
@@ -79,8 +80,10 @@ def dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def norm(z: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each complex vector along the last axis of ``z``,
-    which must be contiguous: as there, the stride-2 real and imaginary parts
-    are dotted separately (here in one stacked ``matmul``) and added."""
+    in any memory layout: as there, the stride-2 real and imaginary parts of
+    a C-ordered copy are dotted separately (here in one stacked ``matmul``)
+    and added."""
+    z = np.ascontiguousarray(z)
     parts = z.view(np.float64).reshape(z.shape + (2,)).swapaxes(-1, -2)
     squares = np.matmul(parts[..., None, :], parts[..., :, None])
     return np.sqrt(squares[..., 0, 0, 0] + squares[..., 1, 0, 0])

@@ -75,7 +75,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import _worst, require_finite, require_hermitian
+from .linalg import _require_stack, _worst, require_finite, require_hermitian
 
 #: Validation tolerances for density matrices.
 DENSITY_HERMITICITY_TOL = 1e-10
@@ -172,13 +172,7 @@ class DensityMatrix:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=complex)
-        if (mat.ndim not in (2, 3) or mat.shape[-1] != mat.shape[-2]
-                or mat.shape[-1] not in (2, 3, 6) or mat.size == 0):
-            raise ValidationError(
-                f"density matrix must be square of dimension 2, 3 or 6, got shape {mat.shape}"
-            )
-        require_finite(mat, "density matrix")
+        mat = _require_stack(self.matrix, ((2, 2), (3, 3), (6, 6)), "density matrix")
         require_hermitian(mat, DENSITY_HERMITICITY_TOL, "density matrix")
         trace = mat.trace(axis1=-2, axis2=-1)
         error = abs(trace - 1.0)
@@ -238,14 +232,10 @@ class CoherenceDecomposition:
 
 def _as_matrix6(rho) -> np.ndarray:
     if isinstance(rho, DensityMatrix):
-        if rho.dim != 6:
-            raise ValidationError(f"expected a 6-dimensional matrix, got dim {rho.dim}")
-        return rho.matrix
-    mat = np.asarray(rho, dtype=complex)
-    if mat.shape[-2:] != (6, 6) or mat.ndim not in (2, 3) or mat.size == 0:
-        raise ValidationError(f"expected a 6x6 matrix, got shape {mat.shape}")
-    require_finite(mat, "matrix")
-    return mat
+        if rho.dim == 6:
+            return rho.matrix  # already checked
+        rho = rho.matrix
+    return _require_stack(rho, ((6, 6),), "matrix")
 
 
 def decompose(rho) -> CoherenceDecomposition:

@@ -9,14 +9,13 @@ Subcommands: ``compute`` prints the full measure report for one state file,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import sys
 from pathlib import Path
 
 from .errors import ConsistencyError, StateFileError, ValidationError
-from .measures import EntanglementReport, full_report
+from .measures import full_report
 from .rng import RandomStream
 from .sampling import haar_chunks
 from .statefile import parse_state_file
@@ -36,8 +35,8 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     if args.format == "json":
         print(json.dumps(report, indent=2))
     else:
-        for field in dataclasses.fields(EntanglementReport):
-            print(f"{field.name:<13} {report[field.name]:.15g}")
+        for name, value in report.items():
+            print(f"{name:<13} {value:.15g}")
     return 0
 
 
@@ -158,10 +157,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, StateFileError, ConsistencyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValidationError, StateFileError, ConsistencyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

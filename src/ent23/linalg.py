@@ -71,12 +71,19 @@ def _worst(errors: np.ndarray) -> tuple[int, str]:
     return index, (f" (item {index} of the stack)" if errors.ndim else "")
 
 
+def _require_stack(values, shapes, what: str) -> np.ndarray:
+    """``values`` as a new finite complex array of one of the 2-D ``shapes``,
+    or a nonempty stack ``(N, ...)`` of arrays of one of them."""
+    arr = np.array(values, dtype=complex)
+    if arr.shape[-2:] not in shapes or arr.ndim not in (2, 3) or arr.size == 0:
+        raise ValidationError(f"{what} must have shape {' or '.join(map(str, shapes))}, "
+                              f"or be a nonempty stack (N, ...) of them; got shape {arr.shape}")
+    return require_finite(arr, what)
+
+
 def _checked(matrix, dim: int) -> np.ndarray:
     """``matrix`` as a finite, Hermitian complex ``(dim, dim)`` or ``(N, dim, dim)`` array."""
-    m = np.asarray(matrix, dtype=complex)
-    if m.shape[-2:] != (dim, dim) or m.ndim not in (2, 3) or m.size == 0:
-        raise ValidationError(f"expected a {dim}x{dim} matrix, got shape {m.shape}")
-    require_finite(m, "matrix")
+    m = _require_stack(matrix, ((dim, dim),), "matrix")
     require_hermitian(m)
     return m
 

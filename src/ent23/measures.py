@@ -6,7 +6,9 @@ that share no code path:
 - ``concurrence_amplitudes``: directly from the 2x2 minors of the amplitude
   grid,
 - ``concurrence_bloch``: from the norm of the qubit Bloch vector extracted by
-  the coherence-vector codec,
+  the coherence-vector codec from the 6x6 projector; a qubit-qubit state
+  enters zero-padded to (2, 3) (:meth:`PureState.density`), which is how the
+  paper's qubit-qutrit formula contains the ``d_b = 2`` case,
 - ``concurrence_schmidt``: from the Schmidt coefficients, themselves obtained
   by closed-form diagonalization of the qubit reduced matrix.
 
@@ -40,7 +42,7 @@ import numpy as np
 from ._exact import TINY, dot, minor, modulus, norm, square, unit
 from .bases import CoherenceDecomposition, DensityMatrix, decompose, reduced_a
 from .errors import ValidationError
-from .linalg import _worst, hermitian_eig2, hermitian_eig3, hermitian_eigvecs2, require_finite
+from .linalg import _require_stack, _worst, hermitian_eig2, hermitian_eig3, hermitian_eigvecs2
 
 #: Construction tolerance on the squared norm of a pure state.
 STATE_NORM_TOL = 1e-9
@@ -78,13 +80,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amp = np.array(self.amplitudes, dtype=complex)
-        if amp.shape[-2:] not in ((2, 2), (2, 3)) or amp.ndim not in (2, 3) or amp.size == 0:
-            raise ValidationError(
-                "amplitude grid must have shape (2, 2) or (2, 3), or be a stack "
-                f"(N, 2, d_b) of them; got {amp.shape}"
-            )
-        require_finite(amp, "amplitudes")
+        amp = _require_stack(self.amplitudes, ((2, 2), (2, 3)), "amplitudes")
         norm_sq = (amp.real ** 2 + amp.imag ** 2).sum(axis=(-2, -1))
         error = abs(norm_sq - 1.0)
         if error.max() > STATE_NORM_TOL:
@@ -107,8 +103,15 @@ class PureState:
         return self.amplitudes.reshape(self.amplitudes.shape[:-2] + (-1,)).copy()
 
     def density(self) -> DensityMatrix:
-        """Projector onto this state's ray, normalized to unit trace."""
-        vec = self.amplitudes.reshape(self.amplitudes.shape[:-2] + (-1,))
+        """Projector onto this state's ray, normalized to unit trace: a 6x6
+        qubit-qutrit matrix (or stack) for either ``d_b``.  A qubit-qubit grid
+        is zero-padded to (2, 3) first, which is the paper's ``d_b = 2`` case
+        of the qubit-qutrit formulas and leaves every measure unchanged."""
+        amp = self.amplitudes
+        if self.d_b == 2:
+            amp = np.zeros(amp.shape[:-1] + (3,), dtype=complex)
+            amp[..., :2] = self.amplitudes
+        vec = amp.reshape(amp.shape[:-2] + (-1,))
         outer = vec[..., :, None] * np.conj(vec)[..., None, :]
         trace = outer.diagonal(axis1=-2, axis2=-1).sum(axis=-1).real
         return DensityMatrix(outer / trace[..., None, None])
@@ -158,15 +161,6 @@ class EntanglementReport:
         return asdict(self)
 
 
-def _embed_qutrit(psi: PureState) -> PureState:
-    """View a qubit-qubit state as qubit-qutrit by appending a zero column."""
-    if psi.d_b == 3:
-        return psi
-    padded = np.zeros(psi.amplitudes.shape[:-1] + (3,), dtype=complex)
-    padded[..., :2] = psi.amplitudes
-    return PureState(padded)
-
-
 def concurrence_amplitudes(psi: PureState):
     """Concurrence from the 2x2 minors of the amplitude grid.
 
@@ -189,15 +183,15 @@ def concurrence_amplitudes(psi: PureState):
 def concurrence_bloch(psi: PureState | CoherenceDecomposition):
     """Concurrence from the qubit Bloch vector, ``sqrt(1 - |u|**2)``.
 
-    ``u`` comes from the coherence-vector codec applied to the state's
-    projector; qubit-qubit states are embedded as qubit-qutrit first.  A
-    caller that already holds that codec output may pass it instead of the
-    state.  The argument of the root is clamped at zero against rounding.
+    ``u`` comes from the coherence-vector codec applied to the state's 6x6
+    projector (:meth:`PureState.density`).  A caller that already holds that
+    codec output may pass it instead of the state.  The argument of the root
+    is clamped at zero against rounding.
     """
     if isinstance(psi, CoherenceDecomposition):
         coeffs = psi
     else:
-        coeffs = decompose(_embed_qutrit(psi).density())
+        coeffs = decompose(psi.density())
     return _out(np.sqrt(np.maximum(0.0, 1.0 - dot(coeffs.u, coeffs.u))))
 
 
@@ -306,18 +300,17 @@ def _require_unit_interval(x: np.ndarray, what: str) -> None:
         raise ValidationError(f"{what} {bad!r} is outside [0, 1]")
 
 
-def _bits(distribution) -> float:
-    """``-sum p log2 p`` of one distribution, in order, skipping ``p = 0``."""
-    total = 0.0
-    for p in distribution:
-        if p > 0.0:
-            total -= p * math.log2(p)
-    return total
-
-
 def _entropies(rows, shape) -> np.ndarray:
-    """:func:`_bits` of each row, as an array of ``shape``."""
-    return np.array([_bits(row) for row in rows]).reshape(shape)
+    """``-sum p log2 p`` of each row, in order, skipping ``p = 0``, as an
+    array of ``shape``."""
+    totals = []
+    for row in rows:
+        total = 0.0
+        for p in row:
+            if p > 0.0:
+                total -= p * math.log2(p)
+        totals.append(total)
+    return np.array(totals).reshape(shape)
 
 
 def _binary_entropies(x: np.ndarray):
@@ -369,7 +362,7 @@ def von_neumann_entropy(rho: DensityMatrix):
 def _measure(psi: PureState):
     """``(full_report(psi), rho_ab, rho_a, coeffs, form)``: the report, then the
     projector, qubit reduced matrix, codec output and Schmidt form behind it."""
-    rho_ab = _embed_qutrit(psi).density()
+    rho_ab = psi.density()
     rho_a = reduced_a(rho_ab)
     coeffs = decompose(rho_ab)
     form = schmidt_decompose(psi)

@@ -155,8 +155,7 @@ def _check_stack(psi: PureState, worst: dict[str, float], amplified):
     _record(worst, "schmidt-orthonormality", np.maximum.reduce([
         modulus(dot(np.conj(form.x1), form.x2)),
         modulus(dot(np.conj(form.y1), form.y2)),
-        *(abs(norm(np.ascontiguousarray(vec)) - 1.0)
-          for vec in (form.x1, form.x2, form.y1, form.y2)),
+        *(abs(norm(vec) - 1.0) for vec in (form.x1, form.x2, form.y1, form.y2)),
     ]))
 
     # Distance minimized over a global phase, computed on the difference

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -285,11 +286,19 @@ def test_decompose_flags_non_hermitian_input():
 def test_decompose_rejects_wrong_shape():
     with pytest.raises(ValidationError):
         decompose(np.eye(3) / 3)
+    with pytest.raises(ValidationError, match=re.escape("(3, 3)")):
+        decompose(DensityMatrix(np.eye(3) / 3))
+    for shape in ((4, 4), (6,), (0, 6, 6), (2, 3, 6, 6)):
+        with pytest.raises(ValidationError, match=re.escape(str(shape))):
+            decompose(np.zeros(shape))
 
 
 def test_density_matrix_validation():
     with pytest.raises(ValidationError):
         DensityMatrix(np.eye(4) / 4)  # unsupported dimension
+    for shape in ((4, 4), (2, 3), (3,), (0, 2, 2), (2, 3, 3, 3)):
+        with pytest.raises(ValidationError, match=re.escape(str(shape))):
+            DensityMatrix(np.zeros(shape))
     with pytest.raises(ValidationError):
         DensityMatrix(np.eye(6))  # trace 6
     with pytest.raises(ValidationError):

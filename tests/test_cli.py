@@ -93,6 +93,14 @@ def test_compute_missing_file_exits_2(capsys):
     assert "error:" in err
 
 
+def test_compute_non_utf8_file_exits_2(tmp_path, capsys):
+    state = tmp_path / "latin1.json"
+    state.write_bytes('{"dims": [2, 2], "amplitudes": []} \u00e9'.encode("latin-1"))
+    code, out, err = run(["compute", str(state)], capsys)
+    assert code == 2 and out == ""
+    assert "not valid UTF-8" in err
+
+
 def test_compute_bad_dims_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dims": [3, 3], "amplitudes": []}')

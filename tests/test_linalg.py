@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -82,6 +83,9 @@ def test_eig2_rejects_nan():
 def test_eig2_rejects_wrong_shape():
     with pytest.raises(ValidationError):
         hermitian_eig2(np.eye(3))
+    for shape in ((3,), (0, 2, 2), (2, 3, 2, 2)):
+        with pytest.raises(ValidationError, match=re.escape(str(shape))):
+            hermitian_eig2(np.zeros(shape))
 
 
 def test_eigvecs2_reconstructs():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,6 +55,10 @@ def test_pure_state_rejects_bad_norm():
 def test_pure_state_rejects_bad_shape():
     with pytest.raises(ValidationError):
         PureState(np.ones((3, 3)) / 3)
+    # A 1-D vector, an empty stack and a stack of stacks; the message names the shape.
+    for shape in ((6,), (0, 2, 3), (2, 2, 2, 3)):
+        with pytest.raises(ValidationError, match=re.escape(str(shape))):
+            PureState(np.full(shape, 1.0 / math.sqrt(6.0)))
 
 
 def test_pure_state_rejects_nan():
@@ -113,6 +118,17 @@ def test_embedding_preserves_amplitude_concurrence():
         assert report_bits(psi) == report_bits(padded(psi))
     stack = haar_random((2, 2), stream, n=100)
     assert report_bits(stack) == report_bits(padded(stack))
+
+
+def test_qubit_qubit_density_is_the_zero_padded_projector():
+    # d_b = 2 is the qubit-qutrit formula with a zero qutrit column: one
+    # state and a stack give the 6x6 projector of the padded grid, bit for bit.
+    stream = RandomStream(23)
+    for psi in (haar_random((2, 2), stream), haar_random((2, 2), stream, n=3)):
+        rho = psi.density()
+        assert isinstance(rho, DensityMatrix) and rho.dim == 6
+        assert rho.matrix.shape == psi.amplitudes.shape[:-2] + (6, 6)
+        assert rho.matrix.tobytes() == padded(psi).density().matrix.tobytes()
 
 
 def test_schmidt_decompose_product_state():
