@@ -65,6 +65,40 @@ matrix that ``eigvalsh`` would reject:
   ``lambda_min(M) > -s - ||dA||_2 > DENSITY_EIGENVALUE_FLOOR + 9e-13``.
 - Then ``||M||_2`` is about 1, and ``eigvalsh``'s error, a small multiple
   of ``d eps ||M||_2``, cannot take its smallest eigenvalue below the floor.
+
+Valid by construction.  Inputs are checked once, where they enter: the
+public :class:`DensityMatrix` and :class:`CoherenceDecomposition`
+constructors, :class:`~ent23.measures.PureState` and the eigensolvers check
+every argument.  Three values built inside the package from an already
+checked one are stored without those checks, because each check would pass:
+
+- The projector of :meth:`PureState.density() <ent23.measures.PureState.density>`
+  skips every :class:`DensityMatrix` check.  The state is finite with
+  ``|sum |a|**2 - 1| <= 1e-9``, so the entries ``a_i conj(a_j) / trace``
+  are finite and at most 1 in modulus; entries ``(i, j)`` and ``(j, i)``
+  are rounded conjugate products (a deviation of a few ulps, against
+  :data:`DENSITY_HERMITICITY_TOL`); the division by the computed trace
+  leaves a trace within a few ulps of 1; and a rank-1 projector has
+  eigenvalues ``1, 0, ..., 0``, which rounding moves by ~``eps``, far above
+  :data:`DENSITY_EIGENVALUE_FLOOR`.
+- :func:`reduced_a` and :func:`reduced_b` of such a projector skip them too:
+  each entry sums two or three entries of the projector, so it stays finite,
+  Hermitian within a few ulps, of trace 1 within a few ulps, and positive
+  semidefinite up to rounding (a partial trace of a positive matrix is
+  positive).  The partial trace of a matrix that came in through the public
+  constructor is checked as before: its deviations from Hermiticity, up to
+  the tolerance each, can add up in the sum.
+- The :class:`CoherenceDecomposition` that :func:`decompose` makes from a
+  :class:`DensityMatrix` skips its shape and finiteness checks.  A checked
+  density matrix has entries of modulus at most ~1 (positive semidefinite
+  with unit trace), so each coefficient trace, a sum of at most six such
+  entries, is finite; the shapes are the ones :func:`decompose` builds.
+
+The trusted constructions still run ``DensityMatrix.__init__`` and
+``CoherenceDecomposition.__init__``: the argument arrives wrapped in the
+private :class:`_Valid`, which ``__post_init__`` unwraps.  What they store
+is a plain array, so ``dataclasses.replace`` and every other caller outside
+this package reach the checks.
 """
 
 from __future__ import annotations
@@ -158,6 +192,16 @@ def _gather_sum(x: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarr
     return total
 
 
+class _Valid:
+    """An array built valid by construction (module notes): the constructor
+    it is passed to stores it without running its checks."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
+
+
 @dataclass(frozen=True)
 class DensityMatrix:
     """Hermitian, unit-trace, positive-semidefinite matrix of dimension 2, 3 or 6.
@@ -171,24 +215,31 @@ class DensityMatrix:
 
     matrix: np.ndarray
 
+    #: Built valid by construction (module notes), so its partial traces are too.
+    _valid = False
+
     def __post_init__(self) -> None:
-        mat = _require_stack(self.matrix, ((2, 2), (3, 3), (6, 6)), "density matrix")
-        require_hermitian(mat, DENSITY_HERMITICITY_TOL, "density matrix")
-        trace = mat.trace(axis1=-2, axis2=-1)
-        error = abs(trace - 1.0)
-        if error.max() > DENSITY_TRACE_TOL:
-            index, where = _worst(error)
-            raise ValidationError("density matrix trace is "
-                                  f"{np.ravel(trace)[index].real:.12g}, expected 1{where}")
-        try:
-            np.linalg.cholesky(mat + _CERTIFICATE_SHIFTS[mat.shape[-1]])
-        except np.linalg.LinAlgError:
-            # Not certified: eigvalsh decides (see the module notes).
-            smallest = np.linalg.eigvalsh(mat).T[0]
-            if smallest.min() < DENSITY_EIGENVALUE_FLOOR:
-                index, where = _worst(-smallest)
-                raise ValidationError("density matrix has negative eigenvalue "
-                                      f"{np.ravel(smallest)[index]:.3e}{where}") from None
+        if type(self.matrix) is _Valid:
+            mat = self.matrix.array
+            object.__setattr__(self, "_valid", True)
+        else:
+            mat = _require_stack(self.matrix, ((2, 2), (3, 3), (6, 6)), "density matrix")
+            require_hermitian(mat, DENSITY_HERMITICITY_TOL, "density matrix")
+            trace = mat.trace(axis1=-2, axis2=-1)
+            error = abs(trace - 1.0)
+            if error.max() > DENSITY_TRACE_TOL:
+                index, where = _worst(error)
+                raise ValidationError("density matrix trace is "
+                                      f"{np.ravel(trace)[index].real:.12g}, expected 1{where}")
+            try:
+                np.linalg.cholesky(mat + _CERTIFICATE_SHIFTS[mat.shape[-1]])
+            except np.linalg.LinAlgError:
+                # Not certified: eigvalsh decides (see the module notes).
+                smallest = np.linalg.eigvalsh(mat).T[0]
+                if smallest.min() < DENSITY_EIGENVALUE_FLOOR:
+                    index, where = _worst(-smallest)
+                    raise ValidationError("density matrix has negative eigenvalue "
+                                          f"{np.ravel(smallest)[index]:.3e}{where}") from None
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
@@ -211,23 +262,27 @@ class CoherenceDecomposition:
     beta: np.ndarray
 
     def __post_init__(self) -> None:
-        # C-ordered copies: the bits of a stacked dot depend on the layout.
-        u = np.array(self.u, dtype=float, order="C")
-        v = np.array(self.v, dtype=float, order="C")
-        beta = np.array(self.beta, dtype=float, order="C")
-        batch = u.shape[:-1]
-        if (u.shape[-1:] != (3,) or v.shape != batch + (8,)
-                or beta.shape != batch + (3, 8) or len(batch) > 1):
-            raise ValidationError(
-                f"expected shapes (3,), (8,), (3, 8), each with an optional leading "
-                f"stack axis; got {u.shape}, {v.shape}, {beta.shape}"
-            )
-        for arr, name in ((u, "u"), (v, "v"), (beta, "beta")):
-            require_finite(arr, name)
+        if type(self.u) is _Valid:
+            # decompose's output from a DensityMatrix (module notes).
+            arrays = (self.u.array, self.v.array, self.beta.array)
+        else:
+            # C-ordered copies: the bits of a stacked dot depend on the layout.
+            u = np.array(self.u, dtype=float, order="C")
+            v = np.array(self.v, dtype=float, order="C")
+            beta = np.array(self.beta, dtype=float, order="C")
+            batch = u.shape[:-1]
+            if (u.shape[-1:] != (3,) or v.shape != batch + (8,)
+                    or beta.shape != batch + (3, 8) or len(batch) > 1):
+                raise ValidationError(
+                    f"expected shapes (3,), (8,), (3, 8), each with an optional leading "
+                    f"stack axis; got {u.shape}, {v.shape}, {beta.shape}"
+                )
+            for arr, name in ((u, "u"), (v, "v"), (beta, "beta")):
+                require_finite(arr, name)
+            arrays = (u, v, beta)
+        for name, arr in zip(("u", "v", "beta"), arrays):
             arr.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-        object.__setattr__(self, "beta", beta)
+            object.__setattr__(self, name, arr)
 
 
 def _as_matrix6(rho) -> np.ndarray:
@@ -257,11 +312,12 @@ def decompose(rho) -> CoherenceDecomposition:
             "input matrix is not Hermitian"
         )
     traces = raw.real
-    return CoherenceDecomposition(
-        u=traces[..., :3],
-        v=(_SQRT3 / 2.0) * traces[..., 3:11],
-        beta=1.5 * traces[..., 11:].reshape(traces.shape[:-1] + (3, 8)),
-    )
+    coeffs = (traces[..., :3], (_SQRT3 / 2.0) * traces[..., 3:11],
+              1.5 * traces[..., 11:].reshape(traces.shape[:-1] + (3, 8)))
+    if isinstance(rho, DensityMatrix):
+        # Finite by construction (module notes); C order as the checks make it.
+        coeffs = (_Valid(np.ascontiguousarray(arr)) for arr in coeffs)
+    return CoherenceDecomposition(*coeffs)
 
 
 def reconstruct(coeffs: CoherenceDecomposition) -> np.ndarray:
@@ -284,7 +340,8 @@ def _partial_trace(rho_ab: DensityMatrix, subscripts: str, caller: str) -> Densi
     if not isinstance(rho_ab, DensityMatrix) or rho_ab.dim != 6:
         raise ValidationError(f"{caller} expects a 6-dimensional DensityMatrix")
     blocks = rho_ab.matrix.reshape(rho_ab.matrix.shape[:-2] + (2, 3, 2, 3))
-    return DensityMatrix(np.einsum(subscripts, blocks))
+    reduced = np.einsum(subscripts, blocks)
+    return DensityMatrix(_Valid(reduced) if rho_ab._valid else reduced)
 
 
 def reduced_a(rho_ab: DensityMatrix) -> DensityMatrix:

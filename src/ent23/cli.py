@@ -33,10 +33,10 @@ def _cmd_compute(args: argparse.Namespace) -> int:
     psi = parse_state_file(text, renormalize=args.renormalize)
     report = full_report(psi).as_dict()
     if args.format == "json":
-        print(json.dumps(report, indent=2))
+        sys.stdout.write(json.dumps(report, indent=2) + "\n")
     else:
-        for name, value in report.items():
-            print(f"{name:<13} {value:.15g}")
+        sys.stdout.write("".join([f"{name:<13} {value:.15g}\n"
+                                  for name, value in report.items()]))
     return 0
 
 

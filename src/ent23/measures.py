@@ -35,12 +35,12 @@ that.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._exact import TINY, dot, minor, modulus, norm, square, unit
-from .bases import CoherenceDecomposition, DensityMatrix, decompose, reduced_a
+from .bases import CoherenceDecomposition, DensityMatrix, _Valid, decompose, reduced_a
 from .errors import ValidationError
 from .linalg import _require_stack, _worst, hermitian_eig2, hermitian_eig3, hermitian_eigvecs2
 
@@ -81,7 +81,9 @@ class PureState:
 
     def __post_init__(self) -> None:
         amp = _require_stack(self.amplitudes, ((2, 2), (2, 3)), "amplitudes")
-        norm_sq = (amp.real ** 2 + amp.imag ** 2).sum(axis=(-2, -1))
+        # An entry beyond ~1e154 squares to inf, which the test below rejects.
+        with np.errstate(over="ignore"):
+            norm_sq = (amp.real ** 2 + amp.imag ** 2).sum(axis=(-2, -1))
         error = abs(norm_sq - 1.0)
         if error.max() > STATE_NORM_TOL:
             index, where = _worst(error)
@@ -114,7 +116,8 @@ class PureState:
         vec = amp.reshape(amp.shape[:-2] + (-1,))
         outer = vec[..., :, None] * np.conj(vec)[..., None, :]
         trace = outer.diagonal(axis1=-2, axis2=-1).sum(axis=-1).real
-        return DensityMatrix(outer / trace[..., None, None])
+        # Valid by construction: the checks are skipped (ent23.bases notes).
+        return DensityMatrix(_Valid(outer / trace[..., None, None]))
 
 
 @dataclass(frozen=True)
@@ -158,7 +161,8 @@ class EntanglementReport:
     k2: float
 
     def as_dict(self) -> dict[str, float]:
-        return asdict(self)
+        """The fields by name, in field order; the values are not copied."""
+        return {name: getattr(self, name) for name in self.__dataclass_fields__}
 
 
 def concurrence_amplitudes(psi: PureState):

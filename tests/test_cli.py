@@ -132,6 +132,16 @@ def test_compute_unnormalized_needs_flag(tmp_path, capsys):
     assert abs(parse_text_report(out)["c_amplitude"] - C_TRIPLE) < 1e-5
 
 
+def test_compute_overflowing_norm_prints_one_error_line(tmp_path):
+    # A separate interpreter, so that a NumPy RuntimeWarning would reach stderr.
+    state = tmp_path / "huge.json"
+    state.write_text('{"dims": [2, 2], "amplitudes": [[1e200, 0], [0, 0], [0, 0], [0, 0]]}')
+    result = subprocess.run([sys.executable, "-m", "ent23", "compute", str(state)],
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == "error: state is not normalized: sum of |a|^2 is inf\n"
+
+
 @pytest.mark.parametrize("amplitude", ("1e200", "1e-200", "1e-310"))
 def test_compute_renormalizes_huge_and_tiny_amplitudes(tmp_path, capsys, amplitude):
     # Squaring these overflowed the norm or underflowed it to zero.

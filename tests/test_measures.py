@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -59,6 +60,16 @@ def test_pure_state_rejects_bad_shape():
     for shape in ((6,), (0, 2, 3), (2, 2, 2, 3)):
         with pytest.raises(ValidationError, match=re.escape(str(shape))):
             PureState(np.full(shape, 1.0 / math.sqrt(6.0)))
+
+
+def test_pure_state_rejects_overflowing_norm():
+    # 1e200 squares past the float range; the norm check rejects the inf
+    # without NumPy's overflow RuntimeWarning (an error under the test config).
+    amp = np.zeros((2, 3), dtype=complex)
+    amp[0, 0] = 1e200
+    with pytest.raises(ValidationError,
+                       match=re.escape("state is not normalized: sum of |a|^2 is inf")):
+        PureState(amp)
 
 
 def test_pure_state_rejects_nan():
@@ -362,3 +373,13 @@ def test_full_report_as_dict_field_order():
         "c_amplitude", "c_bloch", "c_schmidt", "eof", "vn_entropy_a",
         "u_norm", "v_norm", "k1", "k2",
     ]
+
+
+def test_as_dict_equals_dataclasses_asdict():
+    # The shallow dict holds the same values as the deep copy it replaced.
+    for psi in (TRIPLE, haar_random((2, 3), RandomStream(8), n=5)):
+        rep = full_report(psi)
+        shallow, deep = rep.as_dict(), dataclasses.asdict(rep)
+        assert list(shallow) == list(deep)
+        assert all(np.array_equal(shallow[key], deep[key]) for key in deep)
+        assert all(shallow[key] is getattr(rep, key) for key in shallow)
