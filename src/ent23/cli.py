@@ -26,11 +26,9 @@ _CSV_ROW = "%d,%.12g,%.12g,%.12g,%.12g,%.12g,%.12g\n"
 
 
 def _cmd_compute(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.state_file).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise StateFileError(f"state file is not valid UTF-8: {exc}") from exc
-    psi = parse_state_file(text, renormalize=args.renormalize)
+    # parse_state_file decodes the bytes and reports bad UTF-8.  Read through
+    # Path, so that an OSError names the path normalized ("./a//b" as "a/b").
+    psi = parse_state_file(Path(args.state_file).read_bytes(), renormalize=args.renormalize)
     report = full_report(psi).as_dict()
     if args.format == "json":
         sys.stdout.write(json.dumps(report, indent=2) + "\n")

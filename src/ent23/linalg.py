@@ -14,6 +14,15 @@ boundary; nothing downstream is expected to cope with them.
 
 All three solvers take a stack of ``N`` matrices as well as one, and give each
 the bits of a one-matrix call (:mod:`ent23._exact`).
+
+No-op steps are skipped, and every check still runs (:func:`_checked`, on
+every call).  When :func:`_scaled` scales no matrix, the eigenvalues are not
+passed through ``np.ldexp(w, 0)``, which returns every float -- zeros of
+either sign and subnormals included -- unchanged.  :func:`hermitian_eigvecs2`
+assigns the standard basis only when some spectrum is degenerate; an
+all-false mask would assign nothing.  Neither skip can change a bit.  Both
+decisions, and :func:`_scaled`'s, read one matrix's mask as a NumPy bool
+(:func:`_any`).
 """
 
 from __future__ import annotations
@@ -88,6 +97,13 @@ def _checked(matrix, dim: int) -> np.ndarray:
     return m
 
 
+def _any(mask) -> bool:
+    """Whether any entry of a boolean array, or a NumPy bool (one matrix's
+    mask), is set.  A NumPy bool's truth value is far cheaper than its
+    ``.any()``, which runs a reduction."""
+    return bool(mask.any() if mask.ndim else mask)
+
+
 _SCALE_LIMIT = 2.0 ** 500
 
 
@@ -99,15 +115,22 @@ def _scaled(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | int]:
     the power of two that brings their largest real or imaginary part into
     [0.5, 1), which is exact; every other matrix gets ``shift = 0`` and keeps
     its bits (``shift`` is the integer 0 when no matrix is scaled).
-    Eigenvalues of the scaled matrix are scaled back by ``np.ldexp(w, shift)``.
+    Eigenvalues of the scaled matrix are scaled back by :func:`_unscaled`.
     """
     parts = np.ascontiguousarray(m).view(float)
     largest = np.abs(parts).max(axis=(-2, -1))
     outside = (largest > _SCALE_LIMIT) | (largest < 1.0 / _SCALE_LIMIT)
-    if not outside.any():
+    if not _any(outside):
         return m, 0
     shift = np.where(outside, np.frexp(largest)[1], 0)
     return np.ldexp(parts, -shift[..., None, None]).view(complex), shift
+
+
+def _unscaled(w, shift: np.ndarray | int) -> np.ndarray:
+    """``np.ldexp(w, shift)``: ``w`` as an array, scaled back by :func:`_scaled`'s
+    ``shift``.  When nothing was scaled (``shift`` is the int 0) that is the
+    identity on every float, so ``w`` is only made an array."""
+    return np.asarray(w) if type(shift) is int else np.ldexp(w, shift)
 
 
 def _eig2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +167,7 @@ def hermitian_eig2(matrix):
     ``(N, 2, 2)`` gives an ``(N, 2)`` array, each row descending.
     """
     m, shift = _scaled(_checked(matrix, 2))
-    w = np.ldexp(_eig2(m), shift)
+    w = _unscaled(_eig2(m), shift)
     return tuple(w.tolist()) if m.ndim == 2 else w.T
 
 
@@ -183,8 +206,10 @@ def hermitian_eigvecs2(matrix) -> tuple[np.ndarray, np.ndarray]:
     # Built transposed: columns v1 and its orthogonal complement; (2,) values
     # and (2, 2) vectors for one matrix, (N, 2) and (N, 2, 2) for a stack.
     vectors = np.array(((c0, c1), (-np.conj(c1), np.conj(c0)))).T
-    w = np.ldexp((w1, w2), shift)
-    vectors[w[0] - w[1] <= DEGENERACY_TOL] = _EYE2
+    w = _unscaled((w1, w2), shift)
+    degenerate = w[0] - w[1] <= DEGENERACY_TOL
+    if _any(degenerate):
+        vectors[degenerate] = _EYE2
     return w.T, vectors
 
 
@@ -231,5 +256,5 @@ def hermitian_eig3(matrix):
     # Unlike the 2x2 solver, pair_prod need not vanish where big does.
     other = np.where(big == 0.0, 0.0, pair_prod / (big + (big == 0.0)))
     w = -np.sort(-np.array((isolated, big, other)), axis=0)
-    w = np.ldexp(np.where(p2 == 0.0, q, w), shift)
+    w = _unscaled(np.where(p2 == 0.0, q, w), shift)
     return tuple(w.tolist()) if m.ndim == 2 else w.T

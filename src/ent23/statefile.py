@@ -12,7 +12,19 @@ Schema (UTF-8 JSON object, see ``states/`` for worked examples)::
 composite index ``d_b * i + j`` (qubit level ``i`` major), and must contain
 exactly ``2 * d_b`` entries whose squared moduli sum to 1 within 1e-9.
 Complex values are always explicit pairs; string forms like ``"1+2j"`` are
-rejected with the rest of malformed input.
+rejected with the rest of malformed input.  A file nested deeper than the
+JSON decoder's recursion limit is malformed input too.
+
+Reading costs one pass over the entries.  Each is checked with direct type
+tests, ``type(x) in (int, float)``: the only subclass JSON yields is
+``bool``, which they reject, so they accept exactly what
+``isinstance(x, (int, float))`` accepts less ``bool``.  An error message is
+formatted only when it is raised: for the first bad entry, its type checked
+before its values.  The amplitudes then become an array in one
+``np.array(entries, dtype=float)`` call, viewed as complex.  That rounds
+each part, int or float, to the nearest double once, as ``complex(re, im)``
+rounds it, and the view pairs the parts as ``(re, im)``, so the array has
+the bits of one ``complex(re, im)`` per entry.
 """
 
 from __future__ import annotations
@@ -27,6 +39,9 @@ from .errors import StateFileError, UnsupportedDimensionError
 from .measures import PureState
 
 SUPPORTED_DIMS = ((2, 2), (2, 3))
+
+_NUMBER = (int, float)
+_FLOAT_MAX = sys.float_info.max
 
 
 def _require(condition: bool, message: str) -> None:
@@ -52,14 +67,18 @@ def parse_state_file(text: str | bytes, renormalize: bool = False) -> PureState:
         raise StateFileError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError:
+        raise StateFileError("state file is nested too deeply") from None
 
     _require(isinstance(payload, dict), "top level must be a JSON object")
     _require("dims" in payload, "missing field 'dims'")
     _require("amplitudes" in payload, "missing field 'amplitudes'")
 
+    # JSON yields only int, float, bool, str, None, list and dict, so these
+    # type tests accept what isinstance does, less bool (module notes).
     dims = payload["dims"]
-    _require(isinstance(dims, list) and len(dims) == 2
-             and all(isinstance(d, int) and not isinstance(d, bool) for d in dims),
+    _require(type(dims) is list and len(dims) == 2
+             and type(dims[0]) is int and type(dims[1]) is int,
              "'dims' must be a pair of integers")
     if tuple(dims) not in SUPPORTED_DIMS:
         raise UnsupportedDimensionError(
@@ -68,18 +87,18 @@ def parse_state_file(text: str | bytes, renormalize: bool = False) -> PureState:
     d_b = dims[1]
 
     entries = payload["amplitudes"]
-    _require(isinstance(entries, list), "'amplitudes' must be an array")
-    _require(len(entries) == 2 * d_b,
-             f"'amplitudes' must contain {2 * d_b} pairs, got {len(entries)}")
-    values = np.empty(2 * d_b, dtype=complex)
+    _require(type(entries) is list, "'amplitudes' must be an array")
+    if len(entries) != 2 * d_b:
+        raise StateFileError(f"'amplitudes' must contain {2 * d_b} pairs, got {len(entries)}")
     for idx, entry in enumerate(entries):
-        _require(isinstance(entry, list) and len(entry) == 2
-                 and all(isinstance(part, (int, float)) and not isinstance(part, bool)
-                         for part in entry),
-                 f"amplitudes[{idx}]: expected a [re, im] pair of numbers")
-        _require(all(abs(part) <= sys.float_info.max for part in entry),
-                 f"amplitudes[{idx}]: values must be finite")
-        values[idx] = complex(entry[0], entry[1])
+        if not (type(entry) is list and len(entry) == 2
+                and type(entry[0]) in _NUMBER and type(entry[1]) in _NUMBER):
+            raise StateFileError(f"amplitudes[{idx}]: expected a [re, im] pair of numbers")
+        # An int is compared with the float range exactly; NaN compares false.
+        if not (-_FLOAT_MAX <= entry[0] <= _FLOAT_MAX and -_FLOAT_MAX <= entry[1] <= _FLOAT_MAX):
+            raise StateFileError(f"amplitudes[{idx}]: values must be finite")
+    # The bits of complex(re, im) per entry (module notes).
+    values = np.array(entries, dtype=float).view(complex).reshape(2 * d_b)
 
     if renormalize:
         # Scaled first by the power of two that brings the largest part into

@@ -220,6 +220,37 @@ def test_stacked_eig2_covers_zero_and_degenerate_matrices():
     assert same_bits(vectors[1], np.eye(2, dtype=complex))
 
 
+def eig2_inputs():
+    """The qubit reduced matrices of both family stacks, one at a time and as
+    one stack, and stacks of four of them with one extreme (entries ~1e±170,
+    solved scaled) or degenerate matrix put first, second or last."""
+    qubit = [m for d_b in (2, 3)
+             for m in reduced_a(PureState(np.stack([psi.amplitudes for psi in family_stack(d_b)]))
+                                .density()).matrix]
+    odd = [np.diag([1.0, 2.0]) * 1e170, np.diag([1.0, 2.0]) * 1e-170,
+           np.full((2, 2), 0.5e170), np.eye(2) / 2, np.diag([0.5 + 4e-13, 0.5 - 4e-13])]
+    inputs = qubit + [np.stack(qubit)] + [m.astype(complex) for m in odd]
+    for m in odd:
+        inputs += [np.insert(np.stack(qubit[:4]), at, m, axis=0) for at in (0, 1, 4)]
+    return inputs
+
+
+#: sha256 of every output of :func:`hermitian_eig2` and :func:`hermitian_eigvecs2`
+#: on :func:`eig2_inputs`, recorded before the unscaled solvers stopped calling
+#: ``np.ldexp`` and assigning the degenerate basis through an all-false mask.
+EIG2_DIGEST = "d8f0f4f5bdeee08855957fb7f5c569a7e5ee89ac2c033644f0fe03d368e5abed"
+
+
+def test_eig2_and_eigvecs2_outputs_match_recorded_digest():
+    digest = hashlib.sha256()
+    for m in eig2_inputs():
+        values = hermitian_eig2(m)
+        assert type(values) is (tuple if m.ndim == 2 else np.ndarray)
+        for out in (values, *hermitian_eigvecs2(m)):
+            digest.update(repr(np.shape(out)).encode() + np.asarray(out).tobytes())
+    assert digest.hexdigest() == EIG2_DIGEST
+
+
 def eig3_matrices():
     """I/3 (p2 == 0), the rank-one partner matrices of product states
     (big == 0), every reduced_b of the family stack, and random matrices."""

@@ -3,11 +3,13 @@
 A record compares a parent commit with the change on top of it.  The parent
 is named by its commit; the change cannot hold its own commit hash, so it is
 named by the parent it applies to and the sha256 of its ``src`` tree, as the
-perfbench result records compute it.
+perfbench result records compute it.  ``bench_trajectory.py`` prints them all.
 """
 
 import json
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,3 +32,22 @@ def test_bench_file_parses_and_names_its_commit(path):
             for metric in END_TO_END:
                 low, median, high = (sides[tree][metric][key] for key in ("q1", "median", "q3"))
                 assert low <= median <= high, (workload, tree, metric)
+
+
+def test_trajectory_prints_every_median_of_every_record():
+    result = subprocess.run([sys.executable, str(ROOT / "bench_trajectory.py")],
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    lines = [" ".join(line.split()) for line in result.stdout.splitlines()]
+    paths = sorted(ROOT.glob("BENCH_*.json"), key=lambda p: int(p.stem.split("_")[1]))
+    printed = [line.split()[0] for line in lines if line.startswith("BENCH_")]
+    assert list(dict.fromkeys(printed)) == [path.name for path in paths]
+    for path in paths:
+        record = json.loads(path.read_text())
+        for workload, sides in record["workloads"].items():
+            for metric in END_TO_END:
+                parent, change = (sides[tree][metric]["median"] for tree in ("parent", "change"))
+                row = [line for line in lines
+                       if line.startswith(f"{path.name} {workload} {metric} ")]
+                assert len(row) == 1, (path.name, workload, metric)
+                assert f" {parent:.6g} → {change:.6g} {change / parent:.3f}x " in row[0]

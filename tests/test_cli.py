@@ -118,6 +118,99 @@ def test_compute_huge_integer_amplitude_exits_2(tmp_path, capsys):
     assert "error:" in err and "finite" in err
 
 
+#: A (2, 2) state file whose first entry is ``%s``.
+_FIRST_ENTRY = '{"dims": [2, 2], "amplitudes": [%s, [0, 0], [0, 0], [0, 0]]}'
+
+#: ``compute`` input errors: file bytes (None: the argument names no file)
+#: and the exact stderr, recorded before the state-file reader was rewritten.
+#: Each exits 2 with nothing on stdout.
+COMPUTE_INPUT_ERRORS = {
+    "missing": (None, "error: [Errno 2] No such file or directory: 'no/x.json'\n"),
+    "directory": (None, "error: [Errno 21] Is a directory: 'statedir'\n"),
+    "non_utf8_at_end": ('{"dims": [2, 2], "amplitudes": []} \u00e9'.encode("latin-1"),
+                        "error: state file is not valid UTF-8: 'utf-8' codec can't decode "
+                        "byte 0xe9 in position 35: unexpected end of data\n"),
+    "non_utf8_past_8k": (b'{"dims": [2, 2],' + b" " * 10000 + b'\xff "amplitudes": []}',
+                         "error: state file is not valid UTF-8: 'utf-8' codec can't decode "
+                         "byte 0xff in position 10016: invalid start byte\n"),
+    "utf8_bom": (b"\xef\xbb\xbf" + (_FIRST_ENTRY % "[1, 0]").encode(),
+                 "error: line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)\n"),
+    "true_part": ((_FIRST_ENTRY % "[true, 0]").encode(),
+                  "error: amplitudes[0]: expected a [re, im] pair of numbers\n"),
+    "string_part": ((_FIRST_ENTRY % '["1+2j", 0]').encode(),
+                    "error: amplitudes[0]: expected a [re, im] pair of numbers\n"),
+    "null_part": ((_FIRST_ENTRY % "[0, null]").encode(),
+                  "error: amplitudes[0]: expected a [re, im] pair of numbers\n"),
+    "one_element": ((_FIRST_ENTRY % "[1]").encode(),
+                    "error: amplitudes[0]: expected a [re, im] pair of numbers\n"),
+    "three_elements": ((_FIRST_ENTRY % "[1, 0, 0]").encode(),
+                       "error: amplitudes[0]: expected a [re, im] pair of numbers\n"),
+    "non_list_entry": ((_FIRST_ENTRY % "1").encode(),
+                       "error: amplitudes[0]: expected a [re, im] pair of numbers\n"),
+    "object_entry": ((_FIRST_ENTRY % '{"re": 1, "im": 0}').encode(),
+                     "error: amplitudes[0]: expected a [re, im] pair of numbers\n"),
+    "huge_int": ((_FIRST_ENTRY % ("[1" + "0" * 400 + ", 0]")).encode(),
+                 "error: amplitudes[0]: values must be finite\n"),
+    "huge_negative_int_imag": ((_FIRST_ENTRY % ("[0, -1" + "0" * 400 + "]")).encode(),
+                               "error: amplitudes[0]: values must be finite\n"),
+    "nan": ((_FIRST_ENTRY % "[NaN, 0]").encode(),
+            "error: amplitudes[0]: values must be finite\n"),
+    "minus_infinity": ((_FIRST_ENTRY % "[0, -Infinity]").encode(),
+                       "error: amplitudes[0]: values must be finite\n"),
+    # The first bad entry is reported; within one, its type before its value.
+    "nan_before_bad_entry": (b'{"dims": [2, 2], '
+                             b'"amplitudes": [[0, 0], [NaN, 0], [true, 0], [0, 0]]}',
+                             "error: amplitudes[1]: values must be finite\n"),
+    "bad_type_beside_nan": ((_FIRST_ENTRY % "[NaN, true]").encode(),
+                            "error: amplitudes[0]: expected a [re, im] pair of numbers\n"),
+    "wrong_pair_count": (b'{"dims": [2, 3], '
+                         b'"amplitudes": [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0]]}',
+                         "error: 'amplitudes' must contain 6 pairs, got 5\n"),
+    "dims_3_3": (b'{"dims": [3, 3], "amplitudes": []}',
+                 "error: dims [3, 3] unsupported; expected [2, 2] or [2, 3]\n"),
+    "float_dims": (b'{"dims": [2.0, 3], "amplitudes": []}',
+                   "error: 'dims' must be a pair of integers\n"),
+    "bool_dims": (b'{"dims": [true, 3], "amplitudes": []}',
+                  "error: 'dims' must be a pair of integers\n"),
+    "missing_dims": (b'{"amplitudes": []}', "error: missing field 'dims'\n"),
+    "missing_amplitudes": (b'{"dims": [2, 3]}', "error: missing field 'amplitudes'\n"),
+    "amplitudes_not_array": (b'{"dims": [2, 2], "amplitudes": {}}',
+                             "error: 'amplitudes' must be an array\n"),
+    "top_level_array": (b"[[1, 0], [0, 0], [0, 0], [0, 0]]",
+                        "error: top level must be a JSON object\n"),
+    "syntax": (b'{\n  "dims": [2, 3],,\n}',
+               "error: line 2, column 18: Expecting property name enclosed in double quotes\n"),
+    "empty": (b"", "error: line 1, column 1: Expecting value\n"),
+    "unnormalized": ((_FIRST_ENTRY % "[0.5, 0]").encode(),
+                     "error: state is not normalized: sum of |a|^2 is 0.25\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(COMPUTE_INPUT_ERRORS))
+def test_compute_input_error_stderr_and_exit_code(tmp_path, monkeypatch, capsys, case):
+    data, expected = COMPUTE_INPUT_ERRORS[case]
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "statedir").mkdir()
+    if case == "missing":
+        # OSError prints the name as pathlib normalizes it.
+        path = "./no//x.json"
+    elif case == "directory":
+        path = "statedir"
+    else:
+        path = "state.json"
+        (tmp_path / path).write_bytes(data)
+    assert run(["compute", path], capsys) == (2, "", expected)
+
+
+@pytest.mark.parametrize("opener, closer", ((b"[", b"]"), (b'{"a":', b"}")))
+def test_compute_deeply_nested_file_exits_2(tmp_path, capsys, opener, closer):
+    # json.loads raises RecursionError here; exit 1 would mean "verification failed".
+    state = tmp_path / "nested.json"
+    state.write_bytes(opener * 100000 + b"0" + closer * 100000)
+    expected = (2, "", "error: state file is nested too deeply\n")
+    assert run(["compute", str(state)], capsys) == expected
+
+
 def test_compute_unnormalized_needs_flag(tmp_path, capsys):
     state = tmp_path / "loose.json"
     state.write_text(json.dumps({

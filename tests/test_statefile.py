@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ent23.statefile
 from ent23 import (
     PureState,
     RandomStream,
@@ -137,3 +138,22 @@ def test_rendered_file_is_schema_shaped():
     assert payload["dims"] == [2, 3]
     assert len(payload["amplitudes"]) == 6
     assert payload["amplitudes"][0] == [1.0, 0.0]
+
+
+def test_parse_rounds_each_part_as_complex_does(monkeypatch):
+    # The reader builds its array with one np.array call; each part must get
+    # the bits complex(re, im) gives it, for ints beyond 2**53 and 2**64 too.
+    parts = [[2 ** 53 + 1, -0.0], [-(2 ** 64 + 1), 10 ** 300], [0, -0], [5e-324, -1e-310],
+             [3, 0.1], [-(10 ** 308), 2 ** 1023]]
+    built = []
+    monkeypatch.setattr(ent23.statefile, "PureState", built.append)
+    parse_state_file(json.dumps({"dims": [2, 3], "amplitudes": parts}))
+    expected = np.array([complex(re, im) for re, im in parts]).reshape(2, 3)
+    assert built[0].shape == (2, 3) and built[0].dtype == expected.dtype
+    assert built[0].tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("depth", (10 ** 5, 10 ** 6))
+def test_parse_rejects_deep_nesting_as_a_state_file_error(depth):
+    with pytest.raises(StateFileError, match="nested too deeply"):
+        parse_state_file("[" * depth + "]" * depth)

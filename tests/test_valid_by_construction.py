@@ -2,7 +2,8 @@
 
 ``PureState.density()``, the partial traces of its projector and the codec
 output ``decompose`` makes from a ``DensityMatrix`` are stored without the
-constructor checks (``ent23.bases`` notes, "Valid by construction").  These
+constructor checks, and ``decompose`` of such a projector skips its
+imaginary-part check (``ent23.bases`` notes, "Valid by construction").  These
 tests show that every such value passes the public checks, and that no
 caller outside the package can reach the unchecked construction.
 """
@@ -14,6 +15,7 @@ import pytest
 
 from ent23 import (
     CoherenceDecomposition,
+    ConsistencyError,
     DensityMatrix,
     PureState,
     ValidationError,
@@ -22,7 +24,7 @@ from ent23 import (
     reduced_a,
     reduced_b,
 )
-from ent23.bases import DENSITY_EIGENVALUE_FLOOR
+from ent23.bases import _ENCODE, DENSITY_EIGENVALUE_FLOOR, _gather_sum
 from test_batch import family_stack, same_bits
 
 DIMS = pytest.mark.parametrize("d_b", (2, 3))
@@ -61,6 +63,15 @@ def test_skipped_checks_pass_with_a_wide_margin(d_b):
         assert np.linalg.eigvalsh(mat).min() > DENSITY_EIGENVALUE_FLOOR * 1e-4
 
 
+@DIMS
+def test_decompose_imaginary_parts_stay_far_below_the_skipped_tolerance(d_b):
+    # decompose skips its TRACE_IMAG_TOL (1e-10) check on these projectors.
+    for psi in family_stack(d_b) + [stack(d_b)]:
+        mat = psi.density().matrix
+        raw = _gather_sum(mat.reshape(mat.shape[:-2] + (36,)), _ENCODE)
+        assert np.abs(raw.imag).max() <= 1e-14
+
+
 def test_trust_does_not_leak():
     rho = family_stack(3)[0].density()
     assert type(rho) is DensityMatrix
@@ -85,6 +96,16 @@ def test_partial_trace_of_a_public_matrix_is_checked():
     with pytest.raises(ValidationError, match="not Hermitian: max deviation 2.7"):
         reduced_a(rho)
     reduced_b(rho)  # the qutrit trace adds no two of them
+
+
+def test_decompose_of_a_public_matrix_checks_imaginary_parts():
+    # Three imaginary deviations of 0.9e-10 pass the public Hermiticity check
+    # one by one; the sigma_1 x I trace adds them, and decompose still sees it.
+    mat = np.eye(6, dtype=complex) / 6.0
+    for j in range(3):
+        mat[j, 3 + j] += 0.9e-10j
+    with pytest.raises(ConsistencyError, match="imaginary part 2.7"):
+        decompose(DensityMatrix(mat))
 
 
 def test_full_report_constructs_density_matrices_through_init(monkeypatch):
