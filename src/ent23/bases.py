@@ -28,11 +28,14 @@ and ``sigma_i x lambda_j`` has at most six nonzero entries of 36, so the codec
 reads index/value tables built once at import (``_sum_table``) and adds only
 the nonzero terms (``_gather_sum``).  ``_ENCODE`` gives, for each coefficient
 trace, the positions ``x = 6a + b`` of ``rho`` and the weights ``op[b, a]``;
-``_DECODE_U``, ``_DECODE_V`` and ``_DECODE_BETA`` give, for each entry
-``6a + b`` of the rebuilt matrix, the coefficients ``k`` and the weights
-``op_k[a, b]`` of one group.  Terms are added in the order ``einsum`` adds
-them, so every bit matches the dense ``einsum`` codec (why, in
-:mod:`ent23._exact`).
+``_DECODE_U``, ``_DECODE_V`` and ``_DECODE_BETA`` give, for each of the 21
+entries ``6a + b`` with ``a <= b`` of the rebuilt matrix (``_UPPER``), the
+coefficients ``k`` and the weights ``op_k[a, b]`` of one group.  The rebuilt
+matrix is Hermitian, so the 15 entries below the diagonal are the mirror
+image of those above, with ``0.0 - x`` for each imaginary part ``x``, taken
+before the final division by 6.  Terms are added in the order ``einsum``
+adds them, so every bit matches the dense ``einsum`` codec (why, and why the
+mirror keeps them, in :mod:`ent23._exact`).
 
 The decoder accepts arbitrary finite coefficients; the affine map above is a
 bijection on Hermitian unit-trace matrices, not on physical states, so its
@@ -180,13 +183,25 @@ def _sum_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # Sparse codec tables (module notes): the 35 coefficient traces read
 # rho[a, b] * op[b, a] at x = 6a + b; each group of the decoder reads
-# c_k * op_k[a, b] per entry 6a + b.
+# c_k * op_k[a, b] per entry 6a + b with a <= b, the 21 of _UPPER.
+_ROWS, _COLS = np.triu_indices(6)
+_UPPER = 6 * _ROWS + _COLS
 _ENCODE = _sum_table(np.concatenate((_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS.reshape(24, 6, 6)))
                      .transpose(0, 2, 1).reshape(35, 36))
-_DECODE_U, _DECODE_V, _DECODE_BETA = (_sum_table(ops.reshape(-1, 36).T)
+_DECODE_U, _DECODE_V, _DECODE_BETA = (_sum_table(ops.reshape(-1, 36)[:, _UPPER].T)
                                       for ops in (_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS))
-for _arr in (_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS, *_CERTIFICATE_SHIFTS.values(),
-             *_ENCODE, *_DECODE_U, *_DECODE_V, *_DECODE_BETA):
+_ID6_UPPER = _ID6.reshape(36)[_UPPER]
+# The (re, im) parts of the decoded matrix, read from those of its upper
+# triangle: entries (a, b) and (b, a) both read slot k of _UPPER, and the
+# imaginary part of (b, a), below the diagonal, is multiplied by -1.
+_slot = np.empty((6, 6), dtype=np.intp)
+_slot[_COLS, _ROWS] = _slot[_ROWS, _COLS] = np.arange(21)
+_MIRROR_PARTS = (2 * _slot[..., None] + (0, 1)).reshape(72)
+_MIRROR_SIGNS = np.ones((6, 6, 2))
+_MIRROR_SIGNS[np.tril_indices(6, -1) + (1,)] = -1.0
+_MIRROR_SIGNS = _MIRROR_SIGNS.reshape(72)
+for _arr in (_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS, *_CERTIFICATE_SHIFTS.values(), *_ENCODE,
+             *_DECODE_U, *_DECODE_V, *_DECODE_BETA, _ID6_UPPER, _MIRROR_PARTS, _MIRROR_SIGNS):
     _arr.setflags(write=False)
 
 
@@ -338,11 +353,19 @@ def reconstruct(coeffs: CoherenceDecomposition) -> np.ndarray:
     Wrap the result in :class:`DensityMatrix` when a validated state is needed.
     """
     beta = coeffs.beta.reshape(coeffs.beta.shape[:-2] + (24,))
-    mat = (_ID6.reshape(36)
-           + _gather_sum(coeffs.u, _DECODE_U)
-           + _SQRT3 * _gather_sum(coeffs.v, _DECODE_V)
-           + _gather_sum(beta, _DECODE_BETA))
-    return mat.reshape(mat.shape[:-1] + (6, 6)) / 6.0
+    upper = (_ID6_UPPER
+             + _gather_sum(coeffs.u, _DECODE_U)
+             + _SQRT3 * _gather_sum(coeffs.v, _DECODE_V)
+             + _gather_sum(beta, _DECODE_BETA))
+    # The entries below the diagonal mirror those above, with 0.0 - x, here
+    # -1 * x + 0.0, for each imaginary part x, before the division (why, in
+    # ent23._exact).
+    parts = upper.view(float).take(_MIRROR_PARTS, axis=-1)
+    parts *= _MIRROR_SIGNS
+    parts += 0.0
+    mat = parts.view(complex)
+    mat /= 6.0
+    return mat.reshape(mat.shape[:-1] + (6, 6))
 
 
 def _partial_trace(rho_ab: DensityMatrix, subscripts: str, caller: str) -> DensityMatrix:

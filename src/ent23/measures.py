@@ -42,7 +42,8 @@ import numpy as np
 from ._exact import TINY, dot, minor, modulus, norm, square, unit
 from .bases import CoherenceDecomposition, DensityMatrix, _Valid, decompose, reduced_a
 from .errors import ValidationError
-from .linalg import _require_stack, _worst, hermitian_eig2, hermitian_eig3, hermitian_eigvecs2
+from .linalg import (_any, _require_stack, _worst, hermitian_eig2, hermitian_eig3,
+                     hermitian_eigvecs2)
 
 #: Construction tolerance on the squared norm of a pure state.
 STATE_NORM_TOL = 1e-9
@@ -85,7 +86,7 @@ class PureState:
         with np.errstate(over="ignore"):
             norm_sq = (amp.real ** 2 + amp.imag ** 2).sum(axis=(-2, -1))
         error = abs(norm_sq - 1.0)
-        if error.max() > STATE_NORM_TOL:
+        if _any(error > STATE_NORM_TOL):
             index, where = _worst(error)
             raise ValidationError("state is not normalized: sum of |a|^2 is "
                                   f"{np.ravel(norm_sq)[index]:.12g}{where}")
@@ -276,7 +277,7 @@ def schmidt_decompose(psi: PureState) -> SchmidtForm:
     y = y / np.maximum(k, TINY)[..., None]
     y1 = unit(y[..., 0, :])
     flush = k2 <= SCHMIDT_ZERO_TOL
-    if flush.any():
+    if _any(flush):
         keep = ~flush
         k2 = np.where(flush, 0.0, k2)
         k2.setflags(write=False)
@@ -299,7 +300,7 @@ def concurrence_schmidt(form: SchmidtForm):
 
 def _require_unit_interval(x: np.ndarray, what: str) -> None:
     outside = ~((x >= -DOMAIN_TOL) & (x <= 1.0 + DOMAIN_TOL))  # NaN too
-    if outside.any():
+    if _any(outside):
         bad = float(np.ravel(x)[np.ravel(outside)][0])
         raise ValidationError(f"{what} {bad!r} is outside [0, 1]")
 

@@ -23,8 +23,13 @@ FACTOR_NORM_TOL = 1e-9
 
 #: Random states that :func:`haar_chunks` draws, stacks and hands on at a
 #: time (``ent23 sample`` and ``ent23 verify``).  No output depends on it: a
-#: stacked call gives the same bits as one call per state.
-CHUNK_STATES = 250
+#: stacked call gives the same bits as one call per state.  Each stack pays a
+#: fixed cost in NumPy calls (``verify`` checks 6 states in ~1.1 ms, 500 in
+#: ~8 ms), and the memory it holds grows with it.  verify-suite, 20 s runs on
+#: a 2-CPU VM, three at each size: 62.0k states/s at 250, 62.5k at 500, 67.3k
+#: at 1000 and 70.2k at 2000, with peak RSS 39.9, 41.7, 44.3 and 47.8 MB.  500
+#: is the largest of these that keeps peak RSS within 10 % of 250's.
+CHUNK_STATES = 500
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 

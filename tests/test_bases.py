@@ -214,18 +214,43 @@ def test_sparse_codec_equals_einsum_bits():
         assert same_bits(reconstruct(one), einsum_reconstruct(one))
 
 
-def test_sparse_decoder_equals_einsum_bits_with_signed_zeros():
-    rng = np.random.default_rng(2006)
-    n = 3000
-    parts = [rng.normal(size=(n,) + shape) for shape in ((3,), (8,), (3, 8))]
+def with_signed_zeros(rng, parts):
+    """``parts`` with about 40 % of their entries set to +0.0 or -0.0."""
     for part in parts:
         zeros = rng.random(part.shape) < 0.4
         part[zeros] = np.where(rng.random(part.shape) < 0.5, 0.0, -0.0)[zeros]
+    return parts
+
+
+def assert_decoder_matches_einsum(parts):
+    """The sparse decoder gives the einsum decoder's bits on the stack of
+    coefficients ``parts`` and on each of its states alone."""
     stacked = CoherenceDecomposition(*parts)
     assert same_bits(reconstruct(stacked), einsum_reconstruct(stacked))
-    for index in range(n):
+    for index in range(len(parts[0])):
         one = CoherenceDecomposition(*(part[index] for part in parts))
-        assert same_bits(reconstruct(one), einsum_reconstruct(one))
+        assert same_bits(reconstruct(one), einsum_reconstruct(one)), index
+
+
+def test_sparse_decoder_equals_einsum_bits_with_signed_zeros():
+    rng = np.random.default_rng(2006)
+    n = 3000
+    assert_decoder_matches_einsum(with_signed_zeros(
+        rng, [rng.normal(size=(n,) + shape) for shape in ((3,), (8,), (3, 8))]))
+
+
+@pytest.mark.parametrize("scale", (1e-320, 5e-324, 1.7e308))
+def test_sparse_decoder_equals_einsum_bits_at_edge_scales(scale):
+    # Subnormal coefficients: the final division by 6 underflows entries to
+    # +-0, whose sign a lower triangle mirrored after the division gets
+    # wrong.  Coefficients near the largest float: entries overflow to inf,
+    # and the division turns some into nan.
+    rng = np.random.default_rng(2006)
+    n = 1000
+    parts = with_signed_zeros(rng, [rng.uniform(-1.0, 1.0, size=(n,) + shape) * scale
+                                    for shape in ((3,), (8,), (3, 8))])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_decoder_matches_einsum(parts)
 
 
 def test_coherence_bits_do_not_depend_on_memory_layout():

@@ -200,6 +200,13 @@ def test_verification_outcome_does_not_depend_on_chunk_size(monkeypatch):
     for chunk in (1, 7):
         monkeypatch.setattr(ent23.sampling, "CHUNK_STATES", chunk)
         assert outcome_bits(run_verification(n_states=41, seed=23)) == default, chunk
+    # Chunks of 250 and 500 cut 1001 states and the 1000 rotation pairs into
+    # full stacks of either size, the Haar ensemble with a one-state remainder.
+    outcomes = []
+    for chunk in (250, 500):
+        monkeypatch.setattr(ent23.sampling, "CHUNK_STATES", chunk)
+        outcomes.append(outcome_bits(run_verification(n_states=1001, seed=23)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_stacked_eig2_covers_zero_and_degenerate_matrices():

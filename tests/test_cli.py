@@ -9,6 +9,7 @@ import pytest
 
 from ent23 import ValidationError, run_verification
 from ent23.cli import main
+from ent23.sampling import CHUNK_STATES
 
 STATES_DIR = Path(__file__).resolve().parent.parent / "states"
 
@@ -25,12 +26,15 @@ GOLDEN_SAMPLE_DIGESTS = {
 }
 
 #: sha256 of ``ent23 verify --n N --seed S --format F`` stdout, keyed by
-#: ``(N, S, F)``; 251 states leave a one-state remainder chunk.
+#: ``(N, S, F)``.  501 states leave a one-state remainder after a stack of
+#: 500 (``CHUNK_STATES``), and 251 one after a stack of 250.
 GOLDEN_VERIFY_DIGESTS = {
     (1000, 42, "text"): "733cae94ca7e2eec4969a49bafd555453ef49933459bd5bb99aa22449ed0cea9",
     (1000, 42, "json"): "c831e557a7c4e055c4989519c78552d65a411efaf59e0f553de41260941d1ff9",
     (251, 11, "text"): "1702bd45c743288b0616bd97e0e52487f39c724726a3ad0ccdd5dc70f1a182fa",
     (251, 11, "json"): "6a535260885fe5d72996271d0b9b474e837a2c37648a7f0f7f2a9e73f068d53f",
+    (501, 11, "text"): "32336c889fdad1062ac0865d3cd32686b7d0b4fb0f98e5468425e91a8528ba7b",
+    (501, 11, "json"): "39bc429a432a3bbe16e61797c6fd0073c52802249df7de5b760e59daba0049cf",
 }
 
 
@@ -324,11 +328,12 @@ def test_csv_percent_format_equals_format(x):
 
 
 def test_sample_indices_run_across_chunks(capsys):
-    # 251 states are two chunks, of 250 and 1.
-    code, out, _ = run(["sample", "--n", "251", "--seed", "3"], capsys)
+    # CHUNK_STATES + 1 states are two chunks, a full one and one state.
+    n = CHUNK_STATES + 1
+    code, out, _ = run(["sample", "--n", str(n), "--seed", "3"], capsys)
     assert code == 0
     rows = out.splitlines()[1:]
-    assert [int(row.split(",")[0]) for row in rows] == list(range(251))
+    assert [int(row.split(",")[0]) for row in rows] == list(range(n))
 
 
 def test_sample_to_stdout(capsys):
