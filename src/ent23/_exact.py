@@ -42,6 +42,24 @@ modules use them instead:
   zero, and the FMA loop of complex ``*`` rounds as einsum's products do.
   ``take`` keeps each gathered stack in C order; ``x[..., index]`` gave
   Fortran order.
+- The encoder adds real parts only, on the float view of the matrix.  The
+  real part of einsum's product ``(re + i im)(c + i d)`` is
+  ``re c - im d``, and one of ``c``, ``d`` is zero, so one of the two
+  partial products is an exact zero: the inputs are finite, so no
+  ``inf * 0`` makes it NaN.  What einsum keeps is therefore the other
+  product rounded once, ``fl(re c)`` or ``fl(-im d) = fl(im * -d)``, up to
+  the sign of a zero result, and the FMA loop rounds it the same way.  The
+  real sums start from +0.0 and add these products in einsum's order; a sum
+  that starts at +0 is +0 wherever it is zero, so the sign of a zero term
+  never reaches it, and every partial sum has einsum's bits.  The imaginary
+  parts, ``re d + im c``, are summed the same way, and only where the
+  ``TRACE_IMAG_TOL`` check reads them.
+- The decoder stays complex.  Its products, a real coefficient times a real
+  or imaginary weight, also have one exact-zero partial product, but einsum's
+  ``sqrt(3) * V`` and ``/ 6`` are complex operations: on an entry whose sum
+  overflowed to inf, the zero partial product is ``inf * 0``, and the other
+  part becomes NaN (coefficients of 1.7e308 give ``inf+nanj``).  A decoder
+  in real arithmetic keeps that part finite and loses einsum's bits.
 - The decoder adds terms only for the 21 entries on and above the diagonal
   and mirrors them to the 15 below.  Every operator is Hermitian, so entry
   ``(b, a)`` has the nonzero terms of ``(a, b)``, in the same ascending

@@ -26,16 +26,23 @@ Conventions, all of which downstream signs depend on:
 Sparse codec.  Each of the 35 operators ``sigma_i x I``, ``I x lambda_j``
 and ``sigma_i x lambda_j`` has at most six nonzero entries of 36, so the codec
 reads index/value tables built once at import (``_sum_table``) and adds only
-the nonzero terms (``_gather_sum``).  ``_ENCODE`` gives, for each coefficient
-trace, the positions ``x = 6a + b`` of ``rho`` and the weights ``op[b, a]``;
-``_DECODE_U``, ``_DECODE_V`` and ``_DECODE_BETA`` give, for each of the 21
-entries ``6a + b`` with ``a <= b`` of the rebuilt matrix (``_UPPER``), the
-coefficients ``k`` and the weights ``op_k[a, b]`` of one group.  The rebuilt
-matrix is Hermitian, so the 15 entries below the diagonal are the mirror
-image of those above, with ``0.0 - x`` for each imaginary part ``x``, taken
-before the final division by 6.  Terms are added in the order ``einsum``
-adds them, so every bit matches the dense ``einsum`` codec (why, and why the
-mirror keeps them, in :mod:`ent23._exact`).
+the nonzero terms (``_gather_sum``), accumulating each stack in place.  The
+encoder reads the float view of ``rho``, where entry ``x = 6a + b`` has its
+real part at ``2x`` and its imaginary part at ``2x + 1``, and adds real
+products only.  Every weight ``op[b, a]`` is real or purely imaginary, so
+``_ENCODE_REAL`` gives, for each coefficient trace, one position and one real
+weight per nonzero term of its real part, ``re * w.real`` or
+``im * -w.imag``; ``_ENCODE_IMAG`` gives those of its imaginary part,
+``re * w.imag`` or ``im * w.real``, which only the :data:`TRACE_IMAG_TOL`
+check reads.  ``_DECODE_U``, ``_DECODE_V`` and ``_DECODE_BETA`` give, for
+each of the 21 entries ``6a + b`` with ``a <= b`` of the rebuilt matrix
+(``_UPPER``), the coefficients ``k`` and the complex weights ``op_k[a, b]``
+of one group.  The rebuilt matrix is Hermitian, so the 15 entries below the
+diagonal are the mirror image of those above, with ``0.0 - x`` for each
+imaginary part ``x``, taken before the final division by 6.  Terms are added
+in the order ``einsum`` adds them, so every bit matches the dense ``einsum``
+codec (why, why the real parts and the mirror keep them, and why the decoder
+stays complex, in :mod:`ent23._exact`).
 
 The decoder accepts arbitrary finite coefficients; the affine map above is a
 bijection on Hermitian unit-trace matrices, not on physical states, so its
@@ -97,7 +104,8 @@ checked one are stored without those checks, because each check would pass:
   with unit trace), so each coefficient trace, a sum of at most six such
   entries, is finite; the shapes are the ones :func:`decompose` builds.
 - :func:`decompose` of a projector built that way also skips its
-  :data:`TRACE_IMAG_TOL` check.  Each coefficient trace adds the terms
+  :data:`TRACE_IMAG_TOL` check, and does not sum the imaginary parts that
+  the check reads.  Each coefficient trace adds the terms
   ``rho[a, b] op[b, a]`` and ``rho[b, a] op[a, b]`` in pairs; with ``op``
   Hermitian their imaginary parts cancel up to ``rho``'s deviation from
   Hermiticity, a few ulps, and the rounding of at most six products of
@@ -182,12 +190,18 @@ def _sum_table(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Sparse codec tables (module notes): the 35 coefficient traces read
-# rho[a, b] * op[b, a] at x = 6a + b; each group of the decoder reads
-# c_k * op_k[a, b] per entry 6a + b with a <= b, the 21 of _UPPER.
+# rho[a, b] * op[b, a] at x = 6a + b, each weight real or purely imaginary;
+# on the float view of rho, whose parts are (re, im) at (2x, 2x + 1), the
+# real part of a trace reads re * w.real and im * -w.imag, and its
+# imaginary part re * w.imag and im * w.real.  Each group of the decoder
+# reads c_k * op_k[a, b] per entry 6a + b with a <= b, the 21 of _UPPER.
 _ROWS, _COLS = np.triu_indices(6)
 _UPPER = 6 * _ROWS + _COLS
-_ENCODE = _sum_table(np.concatenate((_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS.reshape(24, 6, 6)))
-                     .transpose(0, 2, 1).reshape(35, 36))
+_weights = (np.concatenate((_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS.reshape(24, 6, 6)))
+            .transpose(0, 2, 1).reshape(35, 36))
+_ENCODE_REAL, _ENCODE_IMAG = (_sum_table(np.stack(parts, axis=-1).reshape(35, 72))
+                              for parts in ((_weights.real, -_weights.imag),
+                                            (_weights.imag, _weights.real)))
 _DECODE_U, _DECODE_V, _DECODE_BETA = (_sum_table(ops.reshape(-1, 36)[:, _UPPER].T)
                                       for ops in (_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS))
 _ID6_UPPER = _ID6.reshape(36)[_UPPER]
@@ -200,17 +214,33 @@ _MIRROR_PARTS = (2 * _slot[..., None] + (0, 1)).reshape(72)
 _MIRROR_SIGNS = np.ones((6, 6, 2))
 _MIRROR_SIGNS[np.tril_indices(6, -1) + (1,)] = -1.0
 _MIRROR_SIGNS = _MIRROR_SIGNS.reshape(72)
-for _arr in (_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS, *_CERTIFICATE_SHIFTS.values(), *_ENCODE,
-             *_DECODE_U, *_DECODE_V, *_DECODE_BETA, _ID6_UPPER, _MIRROR_PARTS, _MIRROR_SIGNS):
+for _arr in (_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS, *_CERTIFICATE_SHIFTS.values(), *_ENCODE_REAL,
+             *_ENCODE_IMAG, *_DECODE_U, *_DECODE_V, *_DECODE_BETA, _ID6_UPPER, _MIRROR_PARTS,
+             _MIRROR_SIGNS):
     _arr.setflags(write=False)
 
 
 def _gather_sum(x: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """``sum_t x[..., index[t]] * value[t]`` for ``table = (index, value)``,
-    added left to right from 0.0, as ``einsum`` adds the nonzero terms."""
-    total = 0.0
-    for index, value in zip(*table):
-        total = total + x.take(index, axis=-1) * value
+    added left to right from 0.0, as ``einsum`` adds the nonzero terms.
+
+    The sum accumulates in place, and each term is gathered and multiplied
+    in one reused buffer: ``p + 0.0`` has the bits of ``0.0 + p``.  A real
+    ``x`` with complex values is cast to complex once: each term gets the
+    ``a + 0j`` that a mixed multiply casts it to, without the cast buffer
+    that such a multiply allocates on every call.  The indices are in range,
+    so ``mode="clip"`` only spares ``take`` the copy of ``out`` that its
+    default mode makes.
+    """
+    index, value = table
+    x = x.astype(value.dtype, copy=False)
+    term = x.take(index[0], axis=-1)
+    term *= value[0]
+    total = term + 0.0
+    for i, v in zip(index[1:], value[1:]):
+        x.take(i, axis=-1, out=term, mode="clip")
+        term *= v
+        total += term
     return total
 
 
@@ -326,16 +356,17 @@ def decompose(rho) -> CoherenceDecomposition:
     Hermitian and raises :class:`ConsistencyError`.
     """
     mat = _as_matrix6(rho)
-    raw = _gather_sum(mat.reshape(mat.shape[:-2] + (36,)), _ENCODE)
+    # (re, im) of each entry; the float view needs a contiguous last axis.
+    parts = np.ascontiguousarray(mat.reshape(mat.shape[:-2] + (36,))).view(float)
     if not (isinstance(rho, DensityMatrix) and rho._valid):
         # A projector built valid skips this check (module notes).
-        worst_imag = float(np.max(np.abs(raw.imag)))
+        worst_imag = float(np.max(np.abs(_gather_sum(parts, _ENCODE_IMAG))))
         if worst_imag > TRACE_IMAG_TOL:
             raise ConsistencyError(
                 f"coefficient traces have imaginary part {worst_imag:.3e}; "
                 "input matrix is not Hermitian"
             )
-    traces = raw.real
+    traces = _gather_sum(parts, _ENCODE_REAL)
     coeffs = (traces[..., :3], (_SQRT3 / 2.0) * traces[..., 3:11],
               1.5 * traces[..., 11:].reshape(traces.shape[:-1] + (3, 8)))
     if isinstance(rho, DensityMatrix):
@@ -353,10 +384,14 @@ def reconstruct(coeffs: CoherenceDecomposition) -> np.ndarray:
     Wrap the result in :class:`DensityMatrix` when a validated state is needed.
     """
     beta = coeffs.beta.reshape(coeffs.beta.shape[:-2] + (24,))
-    upper = (_ID6_UPPER
-             + _gather_sum(coeffs.u, _DECODE_U)
-             + _SQRT3 * _gather_sum(coeffs.v, _DECODE_V)
-             + _gather_sum(beta, _DECODE_BETA))
+    # In place, with einsum's operands in its order: (I + U) + sqrt(3) V + B.
+    upper = _gather_sum(coeffs.u, _DECODE_U)
+    upper += _ID6_UPPER
+    qutrit = _gather_sum(coeffs.v, _DECODE_V)
+    qutrit *= _SQRT3
+    upper += qutrit
+    del qutrit  # freed before the next group is gathered
+    upper += _gather_sum(beta, _DECODE_BETA)
     # The entries below the diagonal mirror those above, with 0.0 - x, here
     # -1 * x + 0.0, for each imaginary part x, before the division (why, in
     # ent23._exact).

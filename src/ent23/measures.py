@@ -117,8 +117,9 @@ class PureState:
         vec = amp.reshape(amp.shape[:-2] + (-1,))
         outer = vec[..., :, None] * np.conj(vec)[..., None, :]
         trace = outer.diagonal(axis1=-2, axis2=-1).sum(axis=-1).real
+        outer /= trace[..., None, None]
         # Valid by construction: the checks are skipped (ent23.bases notes).
-        return DensityMatrix(_Valid(outer / trace[..., None, None]))
+        return DensityMatrix(_Valid(outer))
 
 
 @dataclass(frozen=True)

@@ -167,8 +167,9 @@ def _check_stack(psi: PureState, worst: dict[str, float], amplified):
     phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0.0)
     _record(worst, "schmidt-reconstruction", norm(vec - rebuilt * phase[:, None]))
 
-    _record(worst, "codec-round-trip",
-            np.abs(reconstruct(coeffs) - rho.matrix).max(axis=(1, 2)))
+    round_trip = reconstruct(coeffs)
+    round_trip -= rho.matrix
+    _record(worst, "codec-round-trip", np.abs(round_trip).max(axis=(1, 2)))
     expect_a = 0.5 * (np.eye(2) + np.einsum("nk,kab->nab", coeffs.u, PAULI))
     expect_b = (np.eye(3)
                 + math.sqrt(3.0) * np.einsum("nk,kab->nab", coeffs.v, GELL_MANN)) / 3.0

@@ -26,7 +26,8 @@ from ent23 import (
     reduced_a,
     reduced_b,
 )
-from ent23.bases import _PAIR_OPS, _QUBIT_OPS, _QUTRIT_OPS, DENSITY_EIGENVALUE_FLOOR
+from ent23.bases import (_PAIR_OPS, _QUBIT_OPS, _QUTRIT_OPS, DENSITY_EIGENVALUE_FLOOR,
+                         TRACE_IMAG_TOL)
 from ent23._exact import dot
 from test_batch import family_stack, same_bits
 
@@ -160,15 +161,21 @@ def test_roundtrip_on_arbitrary_coefficients(u, v, beta):
     assert np.max(np.abs(back.beta - coeffs.beta)) < 1e-12
 
 
-def einsum_decompose(mat):
-    """The dense codec the sparse sums replace: the bit-for-bit reference."""
+def einsum_traces(mat):
+    """The 35 complex coefficient traces of the dense codec the sparse sums
+    replace: the bit-for-bit reference."""
     stack = mat if mat.ndim == 3 else mat[None]
-    raw_u = np.einsum("nab,kba->nk", stack, _QUBIT_OPS)
-    raw_v = np.einsum("nab,kba->nk", stack, _QUTRIT_OPS)
-    raw_beta = np.einsum("nab,kjba->nkj", stack, _PAIR_OPS)
-    if mat.ndim == 2:
-        raw_u, raw_v, raw_beta = raw_u[0], raw_v[0], raw_beta[0]
-    return raw_u.real, (SQRT3 / 2.0) * raw_v.real, 1.5 * raw_beta.real
+    raw = np.concatenate((np.einsum("nab,kba->nk", stack, _QUBIT_OPS),
+                          np.einsum("nab,kba->nk", stack, _QUTRIT_OPS),
+                          np.einsum("nab,kjba->nkj", stack, _PAIR_OPS).reshape(-1, 24)), axis=-1)
+    return raw if mat.ndim == 3 else raw[0]
+
+
+def einsum_decompose(mat):
+    """The coefficients of the dense codec."""
+    traces = einsum_traces(mat).real
+    return (traces[..., :3], (SQRT3 / 2.0) * traces[..., 3:11],
+            1.5 * traces[..., 11:].reshape(traces.shape[:-1] + (3, 8)))
 
 
 def einsum_reconstruct(coeffs):
@@ -251,6 +258,90 @@ def test_sparse_decoder_equals_einsum_bits_at_edge_scales(scale):
                                     for shape in ((3,), (8,), (3, 8))])
     with np.errstate(over="ignore", invalid="ignore"):
         assert_decoder_matches_einsum(parts)
+
+
+def einsum_decompose_outcome(mat):
+    """What decompose of the raw array ``mat`` gives by the dense codec: the
+    coefficients, or the type and message of the exception it raises."""
+    worst_imag = float(np.max(np.abs(einsum_traces(mat).imag)))
+    if worst_imag > TRACE_IMAG_TOL:
+        return ConsistencyError, (f"coefficient traces have imaginary part {worst_imag:.3e}; "
+                                  "input matrix is not Hermitian")
+    coeffs = einsum_decompose(mat)
+    for name, part in zip(("u", "v", "beta"), coeffs):
+        if not np.isfinite(part).all():
+            return ValidationError, f"{name} contains NaN or Inf entries"
+    return coeffs
+
+
+def decompose_outcome(mat):
+    try:
+        coeffs = decompose(mat)
+    except (ConsistencyError, ValidationError) as error:
+        return type(error), str(error)
+    return coeffs.u, coeffs.v, coeffs.beta
+
+
+def same_outcome(got, expected):
+    if type(expected[0]) is type:
+        return got == expected
+    return type(got[0]) is not type and all(map(same_bits, got, expected))
+
+
+def hermitian_raw(rng, n, scale):
+    """``n`` Hermitian 6x6 matrices, not of unit trace: real and imaginary
+    parts uniform in [-1, 1] times ``scale`` and one power of two from 1 to
+    1/16 per matrix, about 40 % of them +-0.0."""
+    mats = np.empty((n, 6, 6), dtype=complex)
+    factor = 2.0 ** -rng.integers(0, 5, size=(n, 1, 1)) * scale
+    mats.real, mats.imag = with_signed_zeros(
+        rng, [rng.uniform(-1.0, 1.0, size=(n, 6, 6)) * factor for _ in range(2)])
+    rows, cols = np.tril_indices(6, -1)
+    mats[:, rows, cols] = np.conj(mats[:, cols, rows])
+    mats.imag[:, range(6), range(6)] = 0.0
+    return mats
+
+
+# Layouts of a raw stack; the float view that decompose reads needs a
+# contiguous last axis, which the last one lacks even after reshaping.
+RAW_LAYOUTS = {
+    "C": lambda mats: mats,
+    "Fortran": np.asfortranarray,
+    "strided": lambda mats: mats[::2],
+    "stack-major": lambda mats: np.ascontiguousarray(mats.transpose(1, 2, 0)).transpose(2, 0, 1),
+}
+
+
+@pytest.mark.parametrize("scale", (1e-320, 5e-324, 1.7e308))
+def test_sparse_encoder_equals_einsum_bits_at_edge_scales(scale):
+    # Subnormal entries: products underflow to +-0, whose sign a sum from
+    # +0.0 must drop.  Entries near the largest float: products and sums
+    # overflow to inf or nan, and decompose must raise what the dense codec's
+    # traces call for, with the same message.
+    rng = np.random.default_rng(2006)
+    mats = hermitian_raw(rng, 300, scale)
+    outcomes = set()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for layout, arrange in RAW_LAYOUTS.items():
+            stack = arrange(mats)
+            assert same_outcome(decompose_outcome(stack), einsum_decompose_outcome(stack)), layout
+            for index, mat in enumerate(stack):
+                for one in (mat, np.asfortranarray(mat)):
+                    expected = einsum_decompose_outcome(one)
+                    assert same_outcome(decompose_outcome(one), expected), (layout, index)
+                    outcomes.add(expected[0] if type(expected[0]) is type else "coefficients")
+    assert outcomes == ({"coefficients"} if scale < 1.0
+                        else {"coefficients", ConsistencyError, ValidationError})
+
+
+def test_decompose_of_a_non_hermitian_raw_matrix_prints_the_dense_codecs_imaginary_part():
+    rng = np.random.default_rng(11)
+    for scale in (1e-9, 1.0, 1e300):
+        mats = (rng.normal(size=(5, 6, 6)) + 1j * rng.normal(size=(5, 6, 6))) * scale
+        for mat in (mats, *mats):
+            expected = einsum_decompose_outcome(mat)
+            assert expected[0] is ConsistencyError
+            assert decompose_outcome(mat) == expected
 
 
 def test_coherence_bits_do_not_depend_on_memory_layout():

@@ -24,7 +24,7 @@ from ent23 import (
     reduced_a,
     reduced_b,
 )
-from ent23.bases import _ENCODE, DENSITY_EIGENVALUE_FLOOR, _gather_sum
+from ent23.bases import _ENCODE_IMAG, DENSITY_EIGENVALUE_FLOOR, _gather_sum
 from test_batch import family_stack, same_bits
 
 DIMS = pytest.mark.parametrize("d_b", (2, 3))
@@ -68,8 +68,8 @@ def test_decompose_imaginary_parts_stay_far_below_the_skipped_tolerance(d_b):
     # decompose skips its TRACE_IMAG_TOL (1e-10) check on these projectors.
     for psi in family_stack(d_b) + [stack(d_b)]:
         mat = psi.density().matrix
-        raw = _gather_sum(mat.reshape(mat.shape[:-2] + (36,)), _ENCODE)
-        assert np.abs(raw.imag).max() <= 1e-14
+        imag = _gather_sum(mat.reshape(mat.shape[:-2] + (36,)).view(float), _ENCODE_IMAG)
+        assert np.abs(imag).max() <= 1e-14
 
 
 def test_trust_does_not_leak():
