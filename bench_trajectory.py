@@ -8,9 +8,10 @@ Each ``BENCH_<k>.json`` compares change ``k`` with its parent commit over
 alternating pairs of benchmark runs.  For every workload and every end-to-end
 metric of ``BENCHMARK.json`` this prints the parent's median, the change's
 median, their ratio (change / parent), and how many pairs the change won.
-The metric a record claims a gain on is marked ``*``.  The ratio is not
-"better" or "worse" by itself: ``BENCHMARK.json`` says which direction each
-metric improves in, and the table repeats it.
+The metric a record claims a gain on is marked ``*``; a record with
+``"claim": null`` claims none.  The ratio is not "better" or "worse" by
+itself: ``BENCHMARK.json`` says which direction each metric improves in, and
+the table repeats it.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def rows(root: Path = ROOT) -> list[tuple]:
     table = []
     for path in bench_files(root):
         record = json.loads(path.read_text())
-        claim = record.get("claim", {})
+        claim = record.get("claim") or {}
         for workload, sides in record["workloads"].items():
             for metric in metrics:
                 name = metric["name"]

@@ -52,9 +52,11 @@ def require_finite(values, what: str = "input") -> np.ndarray:
 
 
 def require_count(value, what: str, minimum: int = 1) -> int:
-    """Return ``value`` as an ``int``, rejecting non-integers (``2.0`` too)
-    and values below ``minimum``."""
+    """Return ``value`` as an ``int``, rejecting non-integers (``2.0`` and
+    ``True`` too) and values below ``minimum``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         count = operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None

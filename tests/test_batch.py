@@ -9,6 +9,7 @@ import pytest
 
 import ent23.measures
 import ent23.sampling
+import ent23.verify
 from ent23 import (
     DensityMatrix,
     EntanglementReport,
@@ -207,6 +208,41 @@ def test_verification_outcome_does_not_depend_on_chunk_size(monkeypatch):
         monkeypatch.setattr(ent23.sampling, "CHUNK_STATES", chunk)
         outcomes.append(outcome_bits(run_verification(n_states=1001, seed=23)))
     assert outcomes[0] == outcomes[1]
+
+
+def test_one_stack_of_families_records_what_one_stack_per_family_records():
+    # verify's families with its masks: a Haar chunk and rotated maximally
+    # entangled states take every comparison, the two-term grid all but its
+    # rank-1 endpoint, and product states only the robust ones.
+    stream = RandomStream(61)
+    grid = np.array(SCHMIDT_GRID)
+    factors = [random_unitary(dim, stream, n=20)[..., 0] for dim in (2, 3)]
+    families = [
+        (haar_random((2, 3), stream, n=30).amplitudes, True),
+        (rotate_local(schmidt_pair_state(SCHMIDT_GRID[0]), random_unitary(2, stream, n=5),
+                      random_unitary(3, stream, n=5)).amplitudes, True),
+        (np.stack([schmidt_pair_state(k1).amplitudes for k1 in SCHMIDT_GRID]), grid < 1.0),
+        (product_state(*factors).amplitudes, False),
+    ]
+    per_family = dict.fromkeys(ent23.verify.CHECK_NAMES, 0.0)
+    parts = [ent23.verify._check_stack(PureState(amplitudes), per_family, amplified)
+             for amplitudes, amplified in families]
+    stacked = dict.fromkeys(ent23.verify.CHECK_NAMES, 0.0)
+    report, purity = ent23.verify._check_stack(
+        PureState(np.concatenate([amplitudes for amplitudes, _ in families])), stacked,
+        np.concatenate([np.broadcast_to(amplified, len(amplitudes))
+                        for amplitudes, amplified in families]))
+    assert {name: float.hex(value) for name, value in stacked.items()} == {
+        name: float.hex(value) for name, value in per_family.items()}
+    assert stacked["concurrence-amplitude-vs-bloch"] > 0.0
+    start = 0
+    for part_report, part_purity in parts:
+        rows = slice(start, start + len(part_purity))
+        for name in FIELDS:
+            assert same_bits(getattr(report, name)[rows], getattr(part_report, name)), name
+        assert same_bits(purity[rows], part_purity)
+        start = rows.stop
+    assert start == len(purity)
 
 
 def test_stacked_eig2_covers_zero_and_degenerate_matrices():

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ent23 import ValidationError, run_verification
@@ -290,10 +291,16 @@ def test_verify_rejects_bad_arguments():
         assert excinfo.value.code == 2, tol
 
 
-@pytest.mark.parametrize("tol", (-1.0, math.nan, math.inf))
+@pytest.mark.parametrize("tol", (-1.0, math.nan, math.inf, True, np.True_))
 def test_run_verification_rejects_bad_tolerance(tol):
     with pytest.raises(ValidationError, match="tol"):
         run_verification(n_states=1, tol=tol)
+
+
+def test_run_verification_rejects_a_bool_state_count():
+    # True passes operator.index as 1; it must not run a one-state suite.
+    with pytest.raises(ValidationError, match="n_states must be an integer, got True"):
+        run_verification(n_states=True)
 
 
 def test_sample_deterministic(tmp_path, capsys):

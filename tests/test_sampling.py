@@ -119,10 +119,12 @@ BAD_SIZES = {
     "unitary dim 0": lambda stream: random_unitary(0, stream),
     "unitary dim -1": lambda stream: random_unitary(-1, stream),
     "unitary dim 2.0": lambda stream: random_unitary(2.0, stream),
+    "unitary dim True": lambda stream: random_unitary(True, stream),
     "unitary n 2.5": lambda stream: random_unitary(2, stream, n=2.5),
     "haar dims (2, 3.0)": lambda stream: haar_random((2, 3.0), stream),
     "haar n 2.0": lambda stream: haar_random((2, 3), stream, n=2.0),
     "gaussian n 2.0": lambda stream: stream.next_gaussian(2.0),
+    "gaussian n True": lambda stream: stream.next_gaussian(True),
     "verify n_states 2.5": lambda stream: run_verification(n_states=2.5),
     "verify n_states 0": lambda stream: run_verification(n_states=0),
 }
