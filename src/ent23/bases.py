@@ -49,33 +49,6 @@ bijection on Hermitian unit-trace matrices, not on physical states, so its
 output is a plain array and positivity is checked only where a
 :class:`DensityMatrix` is actually constructed.
 
-Positivity certificate.  :class:`DensityMatrix` accepts a matrix ``M`` when
-the smallest eigenvalue LAPACK ``eigvalsh`` computes is at least
-:data:`DENSITY_EIGENVALUE_FLOOR`.  Before that it runs one Cholesky
-factorization of the whole stack ``A = M + s I`` with
-``s = -DENSITY_EIGENVALUE_FLOOR - 1e-12``; if it completes, every matrix is
-accepted and ``eigvalsh`` does not run.  Otherwise ``eigvalsh`` runs on the
-stack and decides, so every rejection, its message and its item index are
-those of ``eigvalsh`` alone.  A completed factorization never accepts a
-matrix that ``eigvalsh`` would reject:
-
-- ``eigvalsh`` (``UPLO='L'``) and ``cholesky`` (lower) both read the
-  Hermitian matrix formed from the lower triangle of ``M``, whose trace is
-  the real part of ``tr(M)``.
-- If ``zpotrf`` completes on ``A`` with factor ``R``, then
-  ``A + dA = R* R`` with ``|dA| <= g |R*| |R|``, where ``g`` is
-  ``gamma_{d+1}`` (Higham, *Accuracy and Stability of Numerical
-  Algorithms*, 2nd ed., Thm 10.3), a few times larger in complex
-  arithmetic: below 1e-14 for ``d <= 6``.  Hence
-  ``||dA||_2 <= g ||R||_F**2``, and taking traces of the same relation gives
-  ``||R||_F**2 <= tr(A) / (1 - g)``.  No bound on the size of the entries
-  is needed.
-- The trace check has already bounded ``tr(A)`` by ``1 + 7e-10``, so
-  ``||dA||_2`` is ~1e-14 at most, far below the 1e-12 margin, and
-  ``lambda_min(M) > -s - ||dA||_2 > DENSITY_EIGENVALUE_FLOOR + 9e-13``.
-- Then ``||M||_2`` is about 1, and ``eigvalsh``'s error, a small multiple
-  of ``d eps ||M||_2``, cannot take its smallest eigenvalue below the floor.
-
 Valid by construction.  Inputs are checked once, where they enter: the
 public :class:`DensityMatrix` and :class:`CoherenceDecomposition`
 constructors, :class:`~ent23.measures.PureState` and the eigensolvers check
@@ -170,9 +143,6 @@ _ID2 = np.eye(2, dtype=complex)
 _ID3 = np.eye(3, dtype=complex)
 _ID6 = np.eye(6, dtype=complex)
 
-# s I of the positivity certificate (module notes), per dimension.
-_CERTIFICATE_SHIFTS = {d: (-DENSITY_EIGENVALUE_FLOOR - 1e-12) * np.eye(d) for d in (2, 3, 6)}
-
 # Stacked tensor-product operator tables, built once at import.
 _QUBIT_OPS = np.stack([np.kron(s, _ID3) for s in PAULI])                 # (3, 6, 6)
 _QUTRIT_OPS = np.stack([np.kron(_ID2, g) for g in GELL_MANN])            # (8, 6, 6)
@@ -214,9 +184,8 @@ _MIRROR_PARTS = (2 * _slot[..., None] + (0, 1)).reshape(72)
 _MIRROR_SIGNS = np.ones((6, 6, 2))
 _MIRROR_SIGNS[np.tril_indices(6, -1) + (1,)] = -1.0
 _MIRROR_SIGNS = _MIRROR_SIGNS.reshape(72)
-for _arr in (_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS, *_CERTIFICATE_SHIFTS.values(), *_ENCODE_REAL,
-             *_ENCODE_IMAG, *_DECODE_U, *_DECODE_V, *_DECODE_BETA, _ID6_UPPER, _MIRROR_PARTS,
-             _MIRROR_SIGNS):
+for _arr in (_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS, *_ENCODE_REAL, *_ENCODE_IMAG, *_DECODE_U,
+             *_DECODE_V, *_DECODE_BETA, _ID6_UPPER, _MIRROR_PARTS, _MIRROR_SIGNS):
     _arr.setflags(write=False)
 
 
@@ -260,9 +229,7 @@ class DensityMatrix:
 
     ``matrix`` may also be a stack ``(N, d, d)``; every check then runs on
     every matrix of the stack.  Positivity means a smallest ``eigvalsh``
-    eigenvalue of at least :data:`DENSITY_EIGENVALUE_FLOOR`; a shifted
-    Cholesky factorization certifies it first, and ``eigvalsh`` runs only on
-    a stack that the factorization does not certify (see the module notes).
+    eigenvalue of at least :data:`DENSITY_EIGENVALUE_FLOOR`.
     """
 
     matrix: np.ndarray
@@ -283,15 +250,11 @@ class DensityMatrix:
                 index, where = _worst(error)
                 raise ValidationError("density matrix trace is "
                                       f"{np.ravel(trace)[index].real:.12g}, expected 1{where}")
-            try:
-                np.linalg.cholesky(mat + _CERTIFICATE_SHIFTS[mat.shape[-1]])
-            except np.linalg.LinAlgError:
-                # Not certified: eigvalsh decides (see the module notes).
-                smallest = np.linalg.eigvalsh(mat).T[0]
-                if smallest.min() < DENSITY_EIGENVALUE_FLOOR:
-                    index, where = _worst(-smallest)
-                    raise ValidationError("density matrix has negative eigenvalue "
-                                          f"{np.ravel(smallest)[index]:.3e}{where}") from None
+            smallest = np.linalg.eigvalsh(mat).T[0]
+            if smallest.min() < DENSITY_EIGENVALUE_FLOOR:
+                index, where = _worst(-smallest)
+                raise ValidationError("density matrix has negative eigenvalue "
+                                      f"{np.ravel(smallest)[index]:.3e}{where}")
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 

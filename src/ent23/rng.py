@@ -56,13 +56,17 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 @dataclass
 class RandomStream:
     """Deterministic stream of pseudo-random draws identified by a 64-bit seed.
-    An integer seed or counter is taken mod ``2**64``; a float is rejected."""
+    An integer seed or counter is taken mod ``2**64``; a float or a bool is
+    rejected."""
 
     seed: int
     counter: int = 0
 
     def __post_init__(self) -> None:
         try:
+            # operator.index(True) is 1: a bool would draw seed 1's stream.
+            if isinstance(self.seed, bool) or isinstance(self.counter, bool):
+                raise TypeError
             seed, counter = operator.index(self.seed), operator.index(self.counter)
         except TypeError:
             raise ValidationError("seed and counter must be integers, got "

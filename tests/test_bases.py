@@ -25,11 +25,14 @@ from ent23 import (
     reconstruct,
     reduced_a,
     reduced_b,
+    run_verification,
 )
 from ent23.bases import (_PAIR_OPS, _QUBIT_OPS, _QUTRIT_OPS, DENSITY_EIGENVALUE_FLOOR,
                          TRACE_IMAG_TOL)
 from ent23._exact import dot
+from ent23.cli import main
 from test_batch import family_stack, same_bits
+from test_cli import STATES_DIR
 
 SQRT3 = math.sqrt(3.0)
 
@@ -461,8 +464,8 @@ def accepts(matrix):
 
 @pytest.mark.parametrize("d", (2, 3, 6))
 def test_positivity_decision_is_eigvalsh_at_the_floor(d):
-    # Within 3e-12 of the floor the Cholesky certificate cannot decide alone
-    # (its margin is 1e-12): the decision must still be eigvalsh's.
+    # Within 3e-12 of the floor the decision must still be eigvalsh's, for
+    # each matrix and for the stack.
     rng = np.random.default_rng(d)
     grid = DENSITY_EIGENVALUE_FLOOR + np.linspace(-3e-12, 3e-12, 61)
     stack = np.array([matrix_with_smallest_eigenvalue(rng, d, t) for t in grid])
@@ -484,33 +487,32 @@ def test_stack_with_one_negative_matrix_names_it():
                                f"{smallest:.3e} (item 3 of the stack)")
 
 
-def test_haar_stack_is_certified_without_eigvalsh(monkeypatch):
+def test_built_values_never_reach_the_positivity_check(monkeypatch, capsys):
+    # Only the public DensityMatrix constructor runs eigvalsh: the projectors,
+    # partial traces and codecs of full_report, verify and compute are built
+    # valid (module notes) and must not pay for it, nor depend on it.
     def no_eigvalsh(*args, **kwargs):
-        raise AssertionError("eigvalsh called on a certified stack")
+        raise AssertionError("eigvalsh called on a value built valid")
 
-    psi = haar_random((2, 3), RandomStream(21), n=250)
-    expected = full_report(psi).as_dict()
+    def run_all():
+        reports = [full_report(psi).as_dict() for psi in (
+            haar_random((2, 2), RandomStream(21), n=250),
+            haar_random((2, 3), RandomStream(22), n=250),
+            haar_random((2, 3), RandomStream(23)))]
+        outcome = run_verification(n_states=60, seed=1)
+        printed = []
+        for path in sorted(STATES_DIR.glob("*.json")):
+            for fmt in ("text", "json"):
+                assert main(["compute", str(path), "--format", fmt]) == 0
+                printed.append(capsys.readouterr().out)
+        return reports, repr(outcome), printed
+
+    expected_reports, *expected_rest = run_all()
     monkeypatch.setattr(np.linalg, "eigvalsh", no_eigvalsh)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = full_report(psi).as_dict()
-        # full_report's projector skips the checks; the public constructor
-        # certifies the same stack.
-        DensityMatrix(psi.density().matrix)
-    assert all(np.array_equal(report[key], expected[key]) for key in expected)
-
-
-def test_cholesky_reads_the_triangle_eigvalsh_reads():
-    # The certificate relies on NumPy's stacked cholesky: lower triangle, like
-    # eigvalsh; LinAlgError for the stack if any one matrix fails; no warnings.
-    lower_indefinite = np.array([[1.0, 0.5], [2.0, 1.0]], dtype=complex)
-    assert np.linalg.eigvalsh(lower_indefinite).min() < 0
-    assert np.linalg.eigvalsh(lower_indefinite.T).min() > 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        np.linalg.cholesky(lower_indefinite.T)
-        np.linalg.cholesky(np.stack([np.eye(6)] * 4))
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(lower_indefinite)
-        with pytest.raises(np.linalg.LinAlgError):
-            np.linalg.cholesky(np.stack([np.eye(2), np.eye(2), lower_indefinite]))
+        reports, *rest = run_all()
+    assert rest == expected_rest
+    for report, expected in zip(reports, expected_reports):
+        assert report.keys() == expected.keys()
+        assert all(same_bits(report[key], expected[key]) for key in expected)

@@ -303,6 +303,12 @@ def test_run_verification_rejects_a_bool_state_count():
         run_verification(n_states=True)
 
 
+def test_run_verification_rejects_a_bool_seed():
+    # True passes operator.index as 1; it must not run the seed-1 suite.
+    with pytest.raises(ValidationError, match="seed and counter must be integers, got True"):
+        run_verification(seed=True)
+
+
 def test_sample_deterministic(tmp_path, capsys):
     out1 = tmp_path / "a.csv"
     out2 = tmp_path / "b.csv"

@@ -124,9 +124,11 @@ def test_seed_wraps_to_64_bits():
 
 
 @pytest.mark.parametrize("seed, counter", [(2.5, 0), (2.0, 0), (np.float64(42.0), 0),
-                                           ("42", 0), (None, 0), (42, 2.9), (42, 2.0)])
+                                           ("42", 0), (None, 0), (42, 2.9), (42, 2.0),
+                                           (True, 0), (42, False)])
 def test_non_integer_seed_or_counter_is_rejected(seed, counter):
-    # Truncating would silently draw another stream: 2.5 gave seed 2's.
+    # Truncating would silently draw another stream: 2.5 gave seed 2's, and
+    # True seed 1's.
     with pytest.raises(ValidationError, match="must be integers"):
         RandomStream(seed, counter)
 
