@@ -52,8 +52,8 @@ output is a plain array and positivity is checked only where a
 Valid by construction.  Inputs are checked once, where they enter: the
 public :class:`DensityMatrix` and :class:`CoherenceDecomposition`
 constructors, :class:`~ent23.measures.PureState` and the eigensolvers check
-every argument.  Three values built inside the package from an already
-checked one are stored without those checks, because each check would pass:
+every argument.  Four values built inside the package from an already
+checked one skip those checks, because each check would pass:
 
 - The projector of :meth:`PureState.density() <ent23.measures.PureState.density>`
   skips every :class:`DensityMatrix` check.  The state is finite with
@@ -84,12 +84,28 @@ checked one are stored without those checks, because each check would pass:
   Hermiticity, a few ulps, and the rounding of at most six products of
   modulus at most ~1.15.  The imaginary parts are therefore a few ulps
   (at most 1.2e-16 on the test families), against a tolerance of 1e-10.
+- The qubit matrix ``0.5 (A A^+ + (A A^+)^+)`` that
+  :func:`~ent23.measures.schmidt_decompose` builds from the amplitude grid
+  ``A`` of a checked state skips the checks and the scaling test of
+  :func:`~ent23.linalg.hermitian_eigvecs2`.  The entries of ``A`` are finite
+  and at most ~1 in modulus, so those of ``A A^+`` are finite sums of at
+  most three such products; its shape is ``(2, 2)``, or ``(N, 2, 2)`` for
+  a stack ``A``.  Entries ``(i, j)`` and ``(j, i)`` of the symmetrized
+  matrix add the same two numbers in either order, conjugated, and each
+  imaginary part is an exact negation of the other (``fl(x - y) =
+  -fl(y - x)``), so it is exactly Hermitian: a deviation of 0 against
+  :data:`~ent23.linalg.HERMITICITY_TOL`.  Its diagonal is ``sum_j |a_ij|**2``,
+  nonnegative, with a sum within ~1e-9 of 1, so its largest part is at
+  least ~0.5, far inside the ``2**+-500`` band outside which
+  :func:`~ent23.linalg._scaled` scales; the copy that the checks make has
+  the same bits.
 
-The trusted constructions still run ``DensityMatrix.__init__`` and
-``CoherenceDecomposition.__init__``: the argument arrives wrapped in the
-private :class:`_Valid`, which ``__post_init__`` unwraps.  What they store
-is a plain array, so ``dataclasses.replace`` and every other caller outside
-this package reach the checks.
+The trusted constructions still run ``DensityMatrix.__init__``,
+``CoherenceDecomposition.__init__`` and ``hermitian_eigvecs2``: the argument
+arrives wrapped in the private :class:`~ent23.linalg._Valid`, which they
+unwrap.  What the constructors store is a plain array, so
+``dataclasses.replace`` and every other caller outside this package reach
+the checks, and the wrapped matrix never leaves ``schmidt_decompose``.
 """
 
 from __future__ import annotations
@@ -100,7 +116,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import _require_stack, _worst, require_finite, require_hermitian
+from .linalg import _require_stack, _Valid, _worst, require_finite, require_hermitian
 
 #: Validation tolerances for density matrices.
 DENSITY_HERMITICITY_TOL = 1e-10
@@ -211,16 +227,6 @@ def _gather_sum(x: np.ndarray, table: tuple[np.ndarray, np.ndarray]) -> np.ndarr
         term *= v
         total += term
     return total
-
-
-class _Valid:
-    """An array built valid by construction (module notes): the constructor
-    it is passed to stores it without running its checks."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, array: np.ndarray) -> None:
-        self.array = array
 
 
 @dataclass(frozen=True)

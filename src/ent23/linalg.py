@@ -15,14 +15,25 @@ boundary; nothing downstream is expected to cope with them.
 All three solvers take a stack of ``N`` matrices as well as one, and give each
 the bits of a one-matrix call (:mod:`ent23._exact`).
 
-No-op steps are skipped, and every check still runs (:func:`_checked`, on
-every call).  When :func:`_scaled` scales no matrix, the eigenvalues are not
-passed through ``np.ldexp(w, 0)``, which returns every float -- zeros of
-either sign and subnormals included -- unchanged.  :func:`hermitian_eigvecs2`
-assigns the standard basis only when some spectrum is degenerate; an
-all-false mask would assign nothing.  Neither skip can change a bit.  Both
-decisions, and :func:`_scaled`'s, read one matrix's mask as a NumPy bool
-(:func:`_any`).
+No-op steps are skipped.  Every argument a caller passes is checked
+(:func:`_checked`) and tested for scaling (:func:`_scaled`); the one value
+that skips both is the Schmidt route's qubit matrix, which
+:func:`~ent23.measures.schmidt_decompose` builds from a checked state and
+passes to :func:`hermitian_eigvecs2` wrapped in the private :class:`_Valid`
+(why each skipped step would do nothing there: "Valid by construction" in
+the :mod:`ent23.bases` notes).  When :func:`_scaled` scales no matrix, the
+eigenvalues are not passed through ``np.ldexp(w, 0)``, which returns every
+float -- zeros of either sign and subnormals included -- unchanged.
+:func:`hermitian_eigvecs2` assigns the standard basis only when some
+spectrum is degenerate; an all-false mask would assign nothing.  Neither
+skip can change a bit.  Both decisions, and :func:`_scaled`'s, read their
+mask with :func:`_any`, which reads one matrix's as a NumPy bool.
+
+:func:`hermitian_eigvecs2` divides both candidate null vectors by their own
+norms and picks the longer, which is the one divided by the larger norm, and
+takes the complement ``(-conj(c1), conj(c0))`` from the float view of
+``(c0, c1)`` with one ``take`` and a multiply by signs, which negates
+exactly as ``-`` does; the bits are those of the one-vector arithmetic.
 """
 
 from __future__ import annotations
@@ -100,10 +111,11 @@ def _checked(matrix, dim: int) -> np.ndarray:
 
 
 def _any(mask) -> bool:
-    """Whether any entry of a boolean array, or a NumPy bool (one matrix's
-    mask), is set.  A NumPy bool's truth value is far cheaper than its
-    ``.any()``, which runs a reduction."""
-    return bool(mask.any() if mask.ndim else mask)
+    """Whether any entry of an array, or a NumPy scalar, is nonzero.  A
+    one-entry mask (one matrix's or one state's) is read by its truth value,
+    and a larger one by ``np.count_nonzero``; both are far cheaper than
+    ``.any()``, a ufunc reduction."""
+    return bool(mask if mask.size == 1 else np.count_nonzero(mask))
 
 
 _SCALE_LIMIT = 2.0 ** 500
@@ -174,7 +186,23 @@ def hermitian_eig2(matrix):
 
 
 _EYE2 = np.eye(2, dtype=complex)
-_EYE2.setflags(write=False)
+# Each row of the complement is taken from the (re, im) parts of the unit
+# eigenvector (c0, c1) and multiplied by signs: rows (c0, c1) and
+# (-conj(c1), conj(c0)).  Multiplying by +-1 only sets signs, as negation does.
+_COMPLEMENT_PARTS = np.array(((0, 1, 2, 3), (2, 3, 0, 1)))
+_COMPLEMENT_SIGNS = np.array(((1.0, 1.0, 1.0, 1.0), (-1.0, 1.0, 1.0, -1.0)))
+for _arr in (_EYE2, _COMPLEMENT_PARTS, _COMPLEMENT_SIGNS):
+    _arr.setflags(write=False)
+
+
+class _Valid:
+    """An array built valid by construction (:mod:`ent23.bases` notes): the
+    constructor or solver it is passed to uses it without running its checks."""
+
+    __slots__ = ("array",)
+
+    def __init__(self, array: np.ndarray) -> None:
+        self.array = array
 
 
 def hermitian_eigvecs2(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -191,28 +219,26 @@ def hermitian_eigvecs2(matrix) -> tuple[np.ndarray, np.ndarray]:
     however small the matrix.  A stack ``(N, 2, 2)`` gives values ``(N, 2)``
     and vectors ``(N, 2, 2)``.
     """
-    m, shift = _scaled(_checked(matrix, 2))
+    # The Schmidt route's matrix is checked and unscaled by construction
+    # (ent23.bases notes); every other argument is checked here.
+    m, shift = (matrix.array, 0) if type(matrix) is _Valid else _scaled(_checked(matrix, 2))
     w1, w2 = _eig2(m)
     b = m.T[1, 0]
-    # Rows of the candidates are two null vectors of (m - w1); take the longer.
-    cands = np.empty_like(m)
-    cands[..., 0, 0] = b
-    cands[..., 0, 1] = w1 - m.T[0, 0].real
-    cands[..., 1, 0] = w1 - m.T[1, 1].real
-    cands[..., 1, 1] = np.conj(b)
-    norm_a, norm_b = norm(cands).T
-    v1 = np.where((norm_a >= norm_b)[..., None], cands[..., 0, :], cands[..., 1, :])
-    # Only a degenerate matrix, replaced below, can give two zero candidates.
-    v1 = v1 / np.maximum(np.maximum(norm_a, norm_b), TINY)[..., None]
-    c0, c1 = v1.T
-    # Built transposed: columns v1 and its orthogonal complement; (2,) values
-    # and (2, 2) vectors for one matrix, (N, 2) and (N, 2, 2) for a stack.
-    vectors = np.array(((c0, c1), (-np.conj(c1), np.conj(c0)))).T
+    # Rows: two null vectors of (m - w1), built transposed, each divided by
+    # its norm; the longer one is divided by the larger norm, and is taken.
+    # Only a degenerate matrix, replaced below, can give two zero rows.
+    cands = np.array(((b, w1 - m.T[1, 1].real), (w1 - m.T[0, 0].real, np.conj(b)))).T
+    norms = norm(cands)
+    cands = cands / np.maximum(norms, TINY)[..., None]
+    v1 = np.where((norms[..., 0] >= norms[..., 1])[..., None], cands[..., 0, :], cands[..., 1, :])
+    # The eigenvectors as rows, C-ordered: v1 and its orthogonal complement.
+    rows = np.ascontiguousarray(v1).view(float).take(_COMPLEMENT_PARTS, axis=-1)
+    rows = (rows * _COMPLEMENT_SIGNS).view(complex)
     w = _unscaled((w1, w2), shift)
     degenerate = w[0] - w[1] <= DEGENERACY_TOL
     if _any(degenerate):
-        vectors[degenerate] = _EYE2
-    return w.T, vectors
+        rows[degenerate] = _EYE2
+    return w.T, rows.swapaxes(-1, -2)
 
 
 def hermitian_eig3(matrix):

@@ -34,15 +34,16 @@ that.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._exact import TINY, dot, minor, modulus, norm, square, unit
-from .bases import CoherenceDecomposition, DensityMatrix, _Valid, decompose, reduced_a
+from .bases import CoherenceDecomposition, DensityMatrix, decompose, reduced_a
 from .errors import ValidationError
-from .linalg import (_any, _require_stack, _worst, hermitian_eig2, hermitian_eig3,
+from .linalg import (_any, _require_stack, _Valid, _worst, hermitian_eig2, hermitian_eig3,
                      hermitian_eigvecs2)
 
 #: Construction tolerance on the squared norm of a pure state.
@@ -122,12 +123,18 @@ class PureState:
         return DensityMatrix(_Valid(outer))
 
 
+_VECTORS = ("x1", "x2", "y1", "y2")
+
+
 @dataclass(frozen=True)
 class SchmidtForm:
     """Two-term Schmidt decomposition ``k1 |x1>|y1> + k2 |x2>|y2>``.
 
     For a stack of ``N`` states ``k1`` and ``k2`` are arrays ``(N,)`` and the
-    vectors carry a leading axis of length ``N``.
+    vectors carry a leading axis of length ``N``.  A form made by
+    :func:`schmidt_decompose` computes its vectors when one of them is first
+    read, with the same bits: :func:`full_report` reads only ``k1`` and
+    ``k2``, so ``compute`` and ``sample`` never make the vectors.
     """
 
     k1: float
@@ -136,6 +143,24 @@ class SchmidtForm:
     x2: np.ndarray
     y1: np.ndarray
     y2: np.ndarray
+
+    @classmethod
+    def _deferred(cls, k1, k2, build) -> SchmidtForm:
+        """A form whose vectors ``build()`` returns, called on first read."""
+        form = object.__new__(cls)
+        form.__dict__.update(k1=k1, k2=k2, _build=build)
+        return form
+
+    def __getattr__(self, name: str):
+        # Only reached for an attribute the instance lacks: the vectors of a
+        # deferred form not read yet.  Two threads may both build them;
+        # they get the same bits.
+        build = self.__dict__.get("_build")
+        if build is None or name not in _VECTORS:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self.__dict__.update(zip(_VECTORS, build()))
+        self.__dict__.pop("_build", None)
+        return self.__dict__[name]
 
     def reconstruct(self) -> np.ndarray:
         """Amplitude grid (or stack of grids) rebuilt from the decomposition."""
@@ -206,9 +231,10 @@ def _canonical_phase(vecs: np.ndarray) -> np.ndarray:
     first component above :data:`PHASE_TOL` in modulus is real positive."""
     mags = modulus(vecs)
     lead = (mags > PHASE_TOL).argmax(axis=-1)
-    if lead.any():
-        flat = lead.reshape(-1) + np.arange(0, vecs.size, vecs.shape[-1])
-        phase = (np.conj(vecs.reshape(-1)[flat]) / mags.reshape(-1)[flat]).reshape(lead.shape)
+    if _any(lead):
+        # Flat index of each vector's lead component.
+        lead += np.arange(0, vecs.size, vecs.shape[-1]).reshape(lead.shape)
+        phase = np.conj(vecs.take(lead)) / mags.take(lead)
     else:
         phase = np.conj(vecs[..., 0]) / mags[..., 0]
     return vecs * phase[..., None]
@@ -231,7 +257,7 @@ def _orthonormal_extension(y1: np.ndarray) -> np.ndarray:
     chosen = basis[0] - y1 * np.conj(y1[:, :1])
     residual = norm(chosen)
     retry = residual <= 0.5
-    if retry.any():
+    if _any(retry):
         chosen[retry] = basis[1] - y1[retry] * np.conj(y1[retry, 1:2])
         residual[retry] = norm(chosen[retry])
     return _canonical_phase(chosen / residual[:, None])
@@ -264,34 +290,44 @@ def schmidt_decompose(psi: PureState) -> SchmidtForm:
     a = psi.amplitudes
     rho_a = a @ np.conj(a).swapaxes(-1, -2)
     rho_a = 0.5 * (rho_a + np.conj(rho_a).swapaxes(-1, -2))
-    values, vectors = hermitian_eigvecs2(rho_a)
+    # Valid by construction: the solver's checks are skipped (ent23.bases notes).
+    values, vectors = hermitian_eigvecs2(_Valid(rho_a))
     k = np.sqrt(np.minimum(1.0, np.maximum(0.0, values)))
     k.setflags(write=False)
-    k1, k2 = k.T
+    k1, k2 = k[..., 0], k[..., 1]
+    flush = k2 <= SCHMIDT_ZERO_TOL
+    if _any(flush):
+        k2 = np.where(flush, 0.0, k2)
+        k2.setflags(write=False)
+    return SchmidtForm._deferred(_out(k1), _out(k2),
+                                 functools.partial(_schmidt_vectors, a, k, vectors, flush))
+
+
+def _schmidt_vectors(a, k, vectors, flush):
+    """``(x1, x2, y1, y2)`` of :func:`schmidt_decompose`, from the amplitude
+    grid ``a``, the unflushed coefficients ``k``, the qubit eigenvectors and
+    the flush mask."""
     x = _canonical_phase(vectors.swapaxes(-1, -2))
     x1, x2 = x[..., 0, :], x[..., 1, :]
 
     # Rows y_i = A^T conj(x_i) / k_i, one BLAS matrix-vector call per row.
-    # k1 >= 1/sqrt(2); a k2 flushed below makes a row that is not used, and
-    # the floor on the divisor keeps it finite.
+    # k1 >= 1/sqrt(2); a flushed k2 makes a row that is not used, and the
+    # floor on the divisor keeps it finite.
     y = np.matmul(a.swapaxes(-1, -2)[..., None, :, :], np.conj(x)[..., None])[..., 0]
-    y = y / np.maximum(k, TINY)[..., None]
+    y /= np.maximum(k, TINY)[..., None]
     y1 = unit(y[..., 0, :])
-    flush = k2 <= SCHMIDT_ZERO_TOL
     if _any(flush):
         keep = ~flush
-        k2 = np.where(flush, 0.0, k2)
-        k2.setflags(write=False)
         y2 = np.empty_like(y1)
         y2[flush] = _orthonormal_extension(y1[flush])
-        if keep.any():
+        if _any(keep):
             y2[keep] = _orthogonal_unit(y[keep, 1, :], y1[keep])
     else:
         y2 = _orthogonal_unit(y[..., 1, :], y1)
 
     for arr in (x1, x2, y1, y2):
         arr.setflags(write=False)
-    return SchmidtForm(k1=_out(k1), k2=_out(k2), x1=x1, x2=x2, y1=y1, y2=y2)
+    return x1, x2, y1, y2
 
 
 def concurrence_schmidt(form: SchmidtForm):

@@ -294,6 +294,26 @@ def test_eig2_and_eigvecs2_outputs_match_recorded_digest():
     assert digest.hexdigest() == EIG2_DIGEST
 
 
+#: sha256 of every field of the one-state :func:`full_report` and
+#: :func:`schmidt_decompose` (``k1``, ``k2``, ``x1``, ``x2``, ``y1``, ``y2``) of each
+#: state of both family stacks, recorded before the Schmidt route passed its
+#: matrix to the eigensolver unchecked and built the eigenvectors from fewer
+#: NumPy calls.  Stacked-vs-one-state equality alone would pass a change that
+#: moved both sides.
+ONE_STATE_DIGEST = "b92d19533b8af0b095193b0f92641aa2443197bc8eeab08f92a8bbff59348b28"
+
+
+def test_one_state_report_and_schmidt_form_match_recorded_digest():
+    digest = hashlib.sha256()
+    for d_b in (2, 3):
+        for psi in family_stack(d_b):
+            report, form = full_report(psi), schmidt_decompose(psi)
+            for out in ([getattr(report, name) for name in FIELDS]
+                        + [getattr(form, name) for name in ("k1", "k2", "x1", "x2", "y1", "y2")]):
+                digest.update(repr(np.shape(out)).encode() + np.asarray(out).tobytes())
+    assert digest.hexdigest() == ONE_STATE_DIGEST
+
+
 def eig3_matrices():
     """I/3 (p2 == 0), the rank-one partner matrices of product states
     (big == 0), every reduced_b of the family stack, and random matrices."""

@@ -70,22 +70,29 @@ def test_eig2_small_eigenvalue_is_accurate():
     assert abs(w2 - eps) < 1e-15
 
 
+#: The 2x2 solvers: both check every argument a caller passes.
+EIG2_SOLVERS = (hermitian_eig2, hermitian_eigvecs2)
+
+
 def test_eig2_rejects_non_hermitian():
-    with pytest.raises(ValidationError):
-        hermitian_eig2(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for solve in EIG2_SOLVERS:
+        with pytest.raises(ValidationError, match="not Hermitian"):
+            solve(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_eig2_rejects_nan():
-    with pytest.raises(ValidationError):
-        hermitian_eig2(np.array([[np.nan, 0.0], [0.0, 0.0]]))
+    for solve in EIG2_SOLVERS:
+        with pytest.raises(ValidationError, match="NaN or Inf"):
+            solve(np.array([[np.nan, 0.0], [0.0, 0.0]]))
 
 
 def test_eig2_rejects_wrong_shape():
-    with pytest.raises(ValidationError):
-        hermitian_eig2(np.eye(3))
-    for shape in ((3,), (0, 2, 2), (2, 3, 2, 2)):
-        with pytest.raises(ValidationError, match=re.escape(str(shape))):
-            hermitian_eig2(np.zeros(shape))
+    for solve in EIG2_SOLVERS:
+        with pytest.raises(ValidationError):
+            solve(np.eye(3))
+        for shape in ((3,), (0, 2, 2), (2, 3, 2, 2)):
+            with pytest.raises(ValidationError, match=re.escape(str(shape))):
+                solve(np.zeros(shape))
 
 
 def test_eigvecs2_reconstructs():

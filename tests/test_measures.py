@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ent23.measures
 from ent23 import (
     DensityMatrix,
     PureState,
@@ -169,6 +170,32 @@ def test_schmidt_decompose_triple():
     assert np.allclose(form.y1, [0, INV_SQRT2, INV_SQRT2], atol=1e-15)
     assert np.allclose(form.x2, [1, 0], atol=1e-15)
     assert np.allclose(form.y2, [1, 0, 0], atol=1e-15)
+
+
+def test_schmidt_vectors_are_built_once_on_first_read(monkeypatch):
+    # full_report reads only k1 and k2, so it never builds the vectors; a
+    # form builds them on its first read, with the bits of an eager form.
+    builds = []
+    build = ent23.measures._schmidt_vectors
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(ent23.measures, "_schmidt_vectors", counting)
+    full_report(TRIPLE)
+    form = schmidt_decompose(TRIPLE)
+    assert builds == []
+    y2 = form.y2  # the first read builds all four vectors
+    assert len(builds) == 1
+    assert form.y2 is y2 and form.x1 is form.x1 and not y2.flags.writeable
+    eager = dataclasses.replace(form)
+    assert "_build" not in vars(eager)
+    for name in ("k1", "k2", "x1", "x2", "y1", "y2"):
+        assert np.asarray(getattr(eager, name)).tobytes() == np.asarray(getattr(form, name)).tobytes()
+    assert len(builds) == 1
+    with pytest.raises(AttributeError, match="'x3'"):
+        form.x3
 
 
 def test_schmidt_invariants_on_random_states():

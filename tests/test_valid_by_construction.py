@@ -2,10 +2,12 @@
 
 ``PureState.density()``, the partial traces of its projector and the codec
 output ``decompose`` makes from a ``DensityMatrix`` are stored without the
-constructor checks, and ``decompose`` of such a projector skips its
-imaginary-part check (``ent23.bases`` notes, "Valid by construction").  These
-tests show that every such value passes the public checks, and that no
-caller outside the package can reach the unchecked construction.
+constructor checks, ``decompose`` of such a projector skips its
+imaginary-part check, and the Schmidt route's qubit matrix reaches
+``hermitian_eigvecs2`` without its input checks and scaling test
+(``ent23.bases`` notes, "Valid by construction").  These tests show that
+every such value passes the public checks, and that no caller outside the
+package can reach the unchecked construction.
 """
 
 import dataclasses
@@ -13,6 +15,8 @@ import dataclasses
 import numpy as np
 import pytest
 
+import ent23
+import ent23.measures
 from ent23 import (
     CoherenceDecomposition,
     ConsistencyError,
@@ -21,10 +25,15 @@ from ent23 import (
     ValidationError,
     decompose,
     full_report,
+    hermitian_eig2,
+    hermitian_eig3,
+    hermitian_eigvecs2,
     reduced_a,
     reduced_b,
+    schmidt_decompose,
 )
 from ent23.bases import _ENCODE_IMAG, DENSITY_EIGENVALUE_FLOOR, _gather_sum
+from ent23.linalg import _checked, _scaled, _Valid
 from test_batch import family_stack, same_bits
 
 DIMS = pytest.mark.parametrize("d_b", (2, 3))
@@ -121,3 +130,58 @@ def test_full_report_constructs_density_matrices_through_init(monkeypatch):
     monkeypatch.setattr(DensityMatrix, "__init__", counting)
     full_report(family_stack(3)[0])
     assert len(calls) == 2
+
+
+def schmidt_matrices(psi, monkeypatch):
+    """What :func:`schmidt_decompose` of ``psi`` passes to ``hermitian_eigvecs2``."""
+    passed = []
+
+    def recording(matrix):
+        passed.append(matrix)
+        return hermitian_eigvecs2(matrix)
+
+    monkeypatch.setattr(ent23.measures, "hermitian_eigvecs2", recording)
+    schmidt_decompose(psi)
+    monkeypatch.undo()
+    return passed
+
+
+@DIMS
+def test_schmidt_matrix_skips_only_checks_that_pass(d_b, monkeypatch):
+    for psi in family_stack(d_b) + [stack(d_b)]:
+        (passed,) = schmidt_matrices(psi, monkeypatch)
+        assert type(passed) is _Valid
+        m = passed.array
+        # The public checks accept it and copy it bit for bit ...
+        assert same_bits(_checked(m, 2), m)
+        # ... it is exactly Hermitian (a deviation of 0, not a few ulps) ...
+        assert np.abs(m - np.conj(m.swapaxes(-1, -2))).max() == 0.0
+        # ... and, of trace ~1, far from the 2**+-500 scaling limits.
+        assert np.abs(m.trace(axis1=-2, axis2=-1) - 1.0).max() < 1e-9
+        scaled, shift = _scaled(m)
+        assert scaled is m and type(shift) is int and shift == 0
+        # So the unchecked call gives the public call's bits.
+        for unchecked, public in zip(hermitian_eigvecs2(passed), hermitian_eigvecs2(m)):
+            assert same_bits(unchecked, public)
+
+
+def test_public_entry_points_reach_no_valid(monkeypatch):
+    # _Valid is private: the package binds no public name to it.
+    assert not [name for name in dir(ent23) if getattr(ent23, name) is _Valid]
+    # A matrix passed by a caller is checked, even the Schmidt route's own.
+    calls = []
+
+    def counting(matrix, dim):
+        calls.append(dim)
+        return _checked(matrix, dim)
+
+    psi = stack(3)
+    (passed,) = schmidt_matrices(psi, monkeypatch)
+    monkeypatch.setattr(ent23.linalg, "_checked", counting)
+    for solve, m in ((hermitian_eig2, passed.array), (hermitian_eigvecs2, passed.array),
+                     (hermitian_eig2, passed.array[0]), (hermitian_eigvecs2, passed.array[0]),
+                     (hermitian_eig3, reduced_b(psi.density()).matrix)):
+        solve(m)
+    assert calls == [2, 2, 2, 2, 3]
+    with pytest.raises(ValidationError, match="not Hermitian"):
+        hermitian_eigvecs2(passed.array + np.triu(np.full((2, 2), 1e-3), 1))
