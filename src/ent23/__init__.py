@@ -49,43 +49,3 @@ from .statefile import parse_state_file, render_state_file
 from .verify import CheckResult, VerifyOutcome, run_verification
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CheckResult",
-    "CoherenceDecomposition",
-    "ConsistencyError",
-    "DensityMatrix",
-    "EntanglementReport",
-    "GELL_MANN",
-    "PAULI",
-    "PureState",
-    "RandomStream",
-    "SchmidtForm",
-    "StateFileError",
-    "UnsupportedDimensionError",
-    "ValidationError",
-    "VerifyOutcome",
-    "binary_entropy",
-    "concurrence_amplitudes",
-    "concurrence_bloch",
-    "concurrence_schmidt",
-    "decompose",
-    "eof_from_concurrence",
-    "full_report",
-    "haar_random",
-    "hermitian_eig2",
-    "hermitian_eig3",
-    "hermitian_eigvecs2",
-    "parse_state_file",
-    "product_state",
-    "random_unitary",
-    "reconstruct",
-    "reduced_a",
-    "reduced_b",
-    "render_state_file",
-    "rotate_local",
-    "run_verification",
-    "schmidt_decompose",
-    "schmidt_pair_state",
-    "von_neumann_entropy",
-]

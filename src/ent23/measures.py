@@ -98,10 +98,6 @@ class PureState:
     def d_b(self) -> int:
         return self.amplitudes.shape[-1]
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return (2, self.d_b)
-
     def vector(self) -> np.ndarray:
         """Amplitudes flattened by composite index ``d_b * i + j``."""
         return self.amplitudes.reshape(self.amplitudes.shape[:-2] + (-1,)).copy()
@@ -226,23 +222,17 @@ def concurrence_bloch(psi: PureState | CoherenceDecomposition):
     return _out(np.sqrt(np.maximum(0.0, 1.0 - dot(coeffs.u, coeffs.u))))
 
 
+# The vector helpers run only where vectors are read (verify's stacks and
+# library reads), so they carry no one-state skip branch.
 def _canonical_phase(vecs: np.ndarray) -> np.ndarray:
     """Rotate the global phase of each unit vector along the last axis so its
     first component above :data:`PHASE_TOL` in modulus is real positive."""
     mags = modulus(vecs)
     lead = (mags > PHASE_TOL).argmax(axis=-1)
-    if _any(lead):
-        # Flat index of each vector's lead component.
-        lead += np.arange(0, vecs.size, vecs.shape[-1]).reshape(lead.shape)
-        phase = np.conj(vecs.take(lead)) / mags.take(lead)
-    else:
-        phase = np.conj(vecs[..., 0]) / mags[..., 0]
+    # Flat index of each vector's lead component.
+    lead += np.arange(0, vecs.size, vecs.shape[-1]).reshape(lead.shape)
+    phase = np.conj(vecs.take(lead)) / mags.take(lead)
     return vecs * phase[..., None]
-
-
-_BASIS = {d_b: np.eye(2, d_b, dtype=complex) for d_b in (2, 3)}
-for _basis in _BASIS.values():
-    _basis.setflags(write=False)
 
 
 def _orthonormal_extension(y1: np.ndarray) -> np.ndarray:
@@ -250,17 +240,14 @@ def _orthonormal_extension(y1: np.ndarray) -> np.ndarray:
     vector ``y1``.
 
     At most one basis vector lies within distance 0.5 of the ray of ``y1``,
-    so index 0 or, failing that, index 1 always serves; index 1 is formed
-    only for the rows that need it.
+    so index 0 or, failing that, index 1 always serves; one masked
+    assignment puts index 1 in the rows where index 0 falls short.
     """
-    basis = _BASIS[y1.shape[1]]
+    basis = np.eye(2, y1.shape[1], dtype=complex)
     chosen = basis[0] - y1 * np.conj(y1[:, :1])
-    residual = norm(chosen)
-    retry = residual <= 0.5
-    if _any(retry):
-        chosen[retry] = basis[1] - y1[retry] * np.conj(y1[retry, 1:2])
-        residual[retry] = norm(chosen[retry])
-    return _canonical_phase(chosen / residual[:, None])
+    retry = norm(chosen) <= 0.5
+    chosen[retry] = basis[1] - y1[retry] * np.conj(y1[retry, 1:2])
+    return _canonical_phase(unit(chosen))
 
 
 def _orthogonal_unit(y2: np.ndarray, y1: np.ndarray) -> np.ndarray:
@@ -320,8 +307,7 @@ def _schmidt_vectors(a, k, vectors, flush):
         keep = ~flush
         y2 = np.empty_like(y1)
         y2[flush] = _orthonormal_extension(y1[flush])
-        if _any(keep):
-            y2[keep] = _orthogonal_unit(y[keep, 1, :], y1[keep])
+        y2[keep] = _orthogonal_unit(y[keep, 1, :], y1[keep])
     else:
         y2 = _orthogonal_unit(y[..., 1, :], y1)
 

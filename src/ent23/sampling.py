@@ -49,9 +49,10 @@ def haar_random(dims: tuple[int, int], stream: RandomStream, n: int | None = Non
     stack holds the bits of ``n`` one-state calls on the same stream and
     leaves the stream where they would.
     """
-    d_a, d_b = (require_count(d, "dims entry") for d in dims)
-    if d_a != 2 or d_b not in (2, 3):
+    dims = tuple(require_count(d, "dims entry") for d in dims)
+    if dims not in ((2, 2), (2, 3)):
         raise ValidationError(f"supported dims are (2, 2) and (2, 3), got {dims}")
+    d_b = dims[1]
     count = 1 if n is None else require_count(n, "n")
     gaussians = _complex_gaussians(stream, 2 * d_b * count).reshape(count, 2 * d_b)
     grids = _haar_grids(gaussians)

@@ -36,6 +36,7 @@ two-term states evaluate exactly.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -191,13 +192,13 @@ def run_verification(n_states: int = 1000, seed: int = 42,
                      tol: float = 1e-10) -> VerifyOutcome:
     """Run every named check; deterministic for a given ``(n_states, seed)``.
 
-    ``tol``, a finite number >= 0 (not a bool), applies to all floating-point
-    checks (the statistical purity-mean check keeps its own bound).  Requires
-    ``n_states >= 1``.
+    ``tol``, a finite ``numbers.Real`` >= 0 (not a bool), applies to all
+    floating-point checks (the statistical purity-mean check keeps its own
+    bound).  Requires ``n_states >= 1``.
     """
     n_states = require_count(n_states, "n_states")
-    if isinstance(tol, (bool, np.bool_)) or not 0.0 <= tol < math.inf:
-        raise ValidationError(f"tol must be finite and >= 0, got {tol}")
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < math.inf:
+        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
 
     stream = RandomStream(seed)
     worst = dict.fromkeys(CHECK_NAMES, 0.0)

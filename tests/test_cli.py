@@ -291,7 +291,7 @@ def test_verify_rejects_bad_arguments():
         assert excinfo.value.code == 2, tol
 
 
-@pytest.mark.parametrize("tol", (-1.0, math.nan, math.inf, True, np.True_))
+@pytest.mark.parametrize("tol", (-1.0, math.nan, math.inf, True, np.True_, "1e-10", None))
 def test_run_verification_rejects_bad_tolerance(tol):
     with pytest.raises(ValidationError, match="tol"):
         run_verification(n_states=1, tol=tol)

@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ent23.measures
+import ent23.verify
 from ent23 import (
+    CheckResult,
     DensityMatrix,
     PureState,
     RandomStream,
+    SchmidtForm,
     ValidationError,
+    VerifyOutcome,
     binary_entropy,
     concurrence_amplitudes,
     concurrence_bloch,
@@ -212,6 +216,13 @@ def test_schmidt_invariants_on_random_states():
         for vec in (form.x1, form.x2):
             lead = next(c for c in vec if abs(c) > 1e-12)
             assert abs(lead.imag) < 1e-15 and lead.real > 0.0
+
+
+def test_package_root_exports_the_result_classes():
+    # No other test imports these from the package root, which has no __all__.
+    assert SchmidtForm is ent23.measures.SchmidtForm
+    assert CheckResult is ent23.verify.CheckResult
+    assert VerifyOutcome is ent23.verify.VerifyOutcome
 
 
 def test_schmidt_coefficients_match_svd_oracle():

@@ -26,7 +26,7 @@ def test_haar_random_is_normalized():
         for _ in range(50):
             psi = haar_random(dims, stream)
             assert abs(np.linalg.norm(psi.vector()) - 1.0) < 1e-12
-            assert psi.dims == dims
+            assert psi.amplitudes.shape == dims
 
 
 def test_haar_random_deterministic():
@@ -42,8 +42,9 @@ def test_haar_random_independent_streams_differ():
 
 
 def test_haar_random_rejects_bad_dims():
-    with pytest.raises(ValidationError):
-        haar_random((3, 3), RandomStream(0))
+    for dims in ((3, 3), (2, 3, 4), (2,)):
+        with pytest.raises(ValidationError, match=r"supported dims are \(2, 2\) and \(2, 3\)"):
+            haar_random(dims, RandomStream(0))
 
 
 def test_haar_purity_mean():

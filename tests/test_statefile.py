@@ -51,7 +51,7 @@ def test_parse_two_qubit_file():
     payload = {"dims": [2, 2],
                "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}
     psi = parse_state_file(json.dumps(payload))
-    assert psi.dims == (2, 2)
+    assert psi.amplitudes.shape == (2, 2)
 
 
 def test_parse_rejects_unsupported_dims():
