@@ -9,6 +9,7 @@ Subcommands: ``compute`` prints the full measure report for one state file,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -71,41 +72,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if outcome.overall else 1
 
 
-def _write_sample(args: argparse.Namespace, out) -> None:
-    # Each chunk's rows are written before the next chunk is drawn.
-    out.write(_CSV_HEADER + "\n")
-    start = 0
-    for chunk in haar_chunks((2, 3), RandomStream(args.seed), args.n):
-        rep = full_report(chunk)
-        columns = (rep.c_amplitude, rep.eof, rep.u_norm, rep.v_norm, rep.k1, rep.k2)
-        n = len(rep.k1)
-        # "%.12g" % x and format(x, ".12g") are the same PyOS_double_to_string call.
-        out.write("".join([_CSV_ROW % row for row in zip(
-            range(start, start + n), *(column.tolist() for column in columns))]))
-        start += n
-
-
 def _cmd_sample(args: argparse.Namespace) -> int:
-    if args.out == "-":
-        _write_sample(args, sys.stdout)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            _write_sample(args, handle)
+    # haar_chunks checks --n at the call: a rejected count opens no file.
+    chunks = haar_chunks((2, 3), RandomStream(args.seed), args.n)
+    with (contextlib.nullcontext(sys.stdout) if args.out == "-"
+          else open(args.out, "w", encoding="utf-8", newline="")) as out:
+        # Each chunk's rows are written before the next chunk is drawn.
+        out.write(_CSV_HEADER + "\n")
+        start = 0
+        for chunk in chunks:
+            rep = full_report(chunk)
+            columns = (rep.c_amplitude, rep.eof, rep.u_norm, rep.v_norm, rep.k1, rep.k2)
+            n = len(rep.k1)
+            # "%.12g" % x and format(x, ".12g") are the same PyOS_double_to_string call.
+            out.write("".join([_CSV_ROW % row for row in zip(
+                range(start, start + n), *(column.tolist() for column in columns))]))
+            start += n
     return 0
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value < float("inf"):
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
-    return value
 
 
 @functools.cache
@@ -128,11 +111,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser(
         "verify", help="run the cross-formula verification suite")
-    verify.add_argument("--n", type=_positive_int, default=1000,
+    verify.add_argument("--n", type=int, default=1000,
                         help="number of random states (default 1000)")
     verify.add_argument("--seed", type=int, default=42,
                         help="ensemble seed (default 42)")
-    verify.add_argument("--tol", type=_nonnegative_float, default=1e-10,
+    verify.add_argument("--tol", type=float, default=1e-10,
                         help="tolerance for the floating-point checks "
                              "(default 1e-10)")
     verify.add_argument("--format", choices=("text", "json"), default="text")
@@ -140,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sample = sub.add_parser(
         "sample", help="write a CSV of measures over a random ensemble")
-    sample.add_argument("--n", type=_positive_int, default=100,
+    sample.add_argument("--n", type=int, default=100,
                         help="number of states (default 100)")
     sample.add_argument("--seed", type=int, default=42,
                         help="ensemble seed (default 42)")

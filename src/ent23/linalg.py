@@ -39,6 +39,7 @@ exactly as ``-`` does; the bits are those of the one-vector arithmetic.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 
 import numpy as np
@@ -62,15 +63,27 @@ def require_finite(values, what: str = "input") -> np.ndarray:
     return arr
 
 
-def require_count(value, what: str, minimum: int = 1) -> int:
-    """Return ``value`` as an ``int``, rejecting non-integers (``2.0`` and
-    ``True`` too) and values below ``minimum``."""
+def require_integer(value, what: str) -> int:
+    """Return ``value`` as an ``int``, rejecting non-integers: ``2.0`` too,
+    and ``True``, which ``operator.index`` would take as 1."""
     try:
         if isinstance(value, bool):
             raise TypeError
-        count = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise ValidationError(f"{what} must be an integer, got {value!r}") from None
+
+
+def require_real(value, what: str):
+    """Return ``value`` if it is a ``numbers.Real`` other than a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValidationError(f"{what} must be a real number, got {value!r}")
+    return value
+
+
+def require_count(value, what: str, minimum: int = 1) -> int:
+    """Return ``value`` as an ``int`` (:func:`require_integer`) >= ``minimum``."""
+    count = require_integer(value, what)
     if count < minimum:
         raise ValidationError(f"{what} must be >= {minimum}, got {count}")
     return count

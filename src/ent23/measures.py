@@ -63,6 +63,9 @@ SCHMIDT_ZERO_TOL = 5e-8
 #: Magnitude below which a component is ignored when fixing a vector's phase.
 PHASE_TOL = 1e-12
 
+#: State shapes ``(d_a, d_b)``, read by every shape check of an input.
+SUPPORTED_DIMS = ((2, 2), (2, 3))
+
 
 def _out(values):
     """Per-state results as returned: an array for a stack, a float for one state."""
@@ -82,7 +85,7 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amp = _require_stack(self.amplitudes, ((2, 2), (2, 3)), "amplitudes")
+        amp = _require_stack(self.amplitudes, SUPPORTED_DIMS, "amplitudes")
         # An entry beyond ~1e154 squares to inf, which the test below rejects.
         with np.errstate(over="ignore"):
             norm_sq = (amp.real ** 2 + amp.imag ** 2).sum(axis=(-2, -1))

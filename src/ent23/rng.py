@@ -29,14 +29,12 @@ stream, and there is no split operation: give each sampler its own seed.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._exact import libm_map
-from .errors import ValidationError
-from .linalg import require_count
+from .linalg import require_count, require_integer
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = np.uint64(0x9E3779B97F4A7C15)
@@ -63,15 +61,8 @@ class RandomStream:
     counter: int = 0
 
     def __post_init__(self) -> None:
-        try:
-            # operator.index(True) is 1: a bool would draw seed 1's stream.
-            if isinstance(self.seed, bool) or isinstance(self.counter, bool):
-                raise TypeError
-            seed, counter = operator.index(self.seed), operator.index(self.counter)
-        except TypeError:
-            raise ValidationError("seed and counter must be integers, got "
-                                  f"{self.seed!r} and {self.counter!r}") from None
-        self.seed, self.counter = seed & _MASK64, counter & _MASK64
+        self.seed = require_integer(self.seed, "seed") & _MASK64
+        self.counter = require_integer(self.counter, "counter") & _MASK64
 
     def _words(self, count: int) -> np.ndarray:
         """The next ``count`` raw words, each shifted down to its top 53 bits."""

@@ -14,8 +14,8 @@ import numpy as np
 
 from ._exact import unit
 from .errors import ValidationError
-from .linalg import require_count, require_finite
-from .measures import PureState
+from .linalg import require_count, require_finite, require_integer, require_real
+from .measures import SUPPORTED_DIMS, PureState
 from .rng import RandomStream
 
 #: Tolerance on the norm of the factors passed to :func:`product_state`.
@@ -34,6 +34,18 @@ CHUNK_STATES = 500
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
+def _require_dims(dims) -> tuple[int, int]:
+    """``dims`` as a pair of ints, one of :data:`~ent23.measures.SUPPORTED_DIMS`."""
+    try:
+        pair = tuple(require_integer(d, "dims entry") for d in dims)
+    except TypeError:  # not iterable, like a bare 3
+        pair = None
+    if pair not in SUPPORTED_DIMS:
+        raise ValidationError(f"supported dims are {' and '.join(map(str, SUPPORTED_DIMS))}, "
+                              f"got {dims!r}")
+    return pair
+
+
 def _complex_gaussians(stream: RandomStream, count: int) -> np.ndarray:
     """``count`` standard complex Gaussians, each two stream draws, real part first."""
     return stream.next_gaussian(2 * count).view(complex)
@@ -49,10 +61,7 @@ def haar_random(dims: tuple[int, int], stream: RandomStream, n: int | None = Non
     stack holds the bits of ``n`` one-state calls on the same stream and
     leaves the stream where they would.
     """
-    dims = tuple(require_count(d, "dims entry") for d in dims)
-    if dims not in ((2, 2), (2, 3)):
-        raise ValidationError(f"supported dims are (2, 2) and (2, 3), got {dims}")
-    d_b = dims[1]
+    d_b = _require_dims(dims)[1]
     count = 1 if n is None else require_count(n, "n")
     gaussians = _complex_gaussians(stream, 2 * d_b * count).reshape(count, 2 * d_b)
     grids = _haar_grids(gaussians)
@@ -67,9 +76,9 @@ def _haar_grids(gaussians: np.ndarray) -> np.ndarray:
 
 def haar_chunks(dims: tuple[int, int], stream: RandomStream, n: int):
     """The ``n`` states of ``haar_random(dims, stream, n)`` as stacks of at
-    most :data:`CHUNK_STATES`, each drawn when the previous one is done with."""
-    for size in chunk_sizes(n):
-        yield haar_random(dims, stream, size)
+    most :data:`CHUNK_STATES`, each drawn when the previous one is done with;
+    ``n`` is checked at the call."""
+    return (haar_random(dims, stream, size) for size in chunk_sizes(require_count(n, "n")))
 
 
 def chunk_sizes(n: int):
@@ -83,11 +92,11 @@ def product_state(phi_a, phi_b) -> PureState:
     pair of a stack of factors ``(N, 2)`` and ``(N, d_b)``."""
     a = require_finite(np.asarray(phi_a, dtype=complex), "phi_a")
     b = require_finite(np.asarray(phi_b, dtype=complex), "phi_b")
-    if (a.shape[-1:] != (2,) or b.shape[-1:] not in ((2,), (3,))
+    if (a.shape[-1:] + b.shape[-1:] not in SUPPORTED_DIMS
             or a.shape[:-1] != b.shape[:-1] or a.ndim > 2):
         raise ValidationError(
-            f"expected factor shapes (2,) and (2,) or (3,), each with the same optional "
-            f"leading stack axis; got {a.shape}, {b.shape}"
+            f"expected factor shapes (d_a,) and (d_b,), (d_a, d_b) one of {SUPPORTED_DIMS}, "
+            f"each with the same optional leading stack axis; got {a.shape}, {b.shape}"
         )
     for vec, name in ((a, "phi_a"), (b, "phi_b")):
         if np.any(abs(np.linalg.norm(vec, axis=-1) - 1.0) > FACTOR_NORM_TOL):
@@ -101,10 +110,9 @@ def schmidt_pair_state(k1: float, d_b: int = 3) -> PureState:
     Requires ``1/sqrt(2) <= k1 <= 1`` so the coefficients are already in
     descending order.
     """
-    if not (_INV_SQRT2 - 1e-12 <= k1 <= 1.0 + 1e-12):
+    if not _INV_SQRT2 - 1e-12 <= require_real(k1, "k1") <= 1.0 + 1e-12:
         raise ValidationError(f"k1 must lie in [1/sqrt(2), 1], got {k1!r}")
-    if d_b not in (2, 3):
-        raise ValidationError(f"d_b must be 2 or 3, got {d_b!r}")
+    d_b = _require_dims((2, d_b))[1]
     k1 = min(1.0, max(_INV_SQRT2, k1))
     amp = np.zeros((2, d_b), dtype=complex)
     amp[0, 0] = k1
@@ -137,4 +145,8 @@ def _haar_unitaries(gaussians: np.ndarray) -> np.ndarray:
 def rotate_local(psi: PureState, u_a: np.ndarray, u_b: np.ndarray) -> PureState:
     """Apply the product unitary ``u_a (x) u_b`` to a pure state; on a stack,
     unitaries ``(N, 2, 2)`` and ``(N, d_b, d_b)`` rotate each state with its own."""
+    d_b = psi.d_b
+    if np.shape(u_a)[-2:] + np.shape(u_b)[-2:] != (2, 2, d_b, d_b):
+        raise ValidationError(f"a (2, {d_b}) state takes unitaries (2, 2) and ({d_b}, {d_b}); "
+                              f"got shapes {np.shape(u_a)} and {np.shape(u_b)}")
     return PureState(u_a @ psi.amplitudes @ np.swapaxes(u_b, -1, -2))

@@ -7,10 +7,11 @@ Schema (UTF-8 JSON object, see ``states/`` for worked examples)::
       "amplitudes": [[re, im], [re, im], ...]
     }
 
-``dims`` is ``[2, 2]`` or ``[2, 3]``.  ``amplitudes`` lists one
-``[real, imaginary]`` pair of numbers per basis state, ordered by the
-composite index ``d_b * i + j`` (qubit level ``i`` major), and must contain
-exactly ``2 * d_b`` entries whose squared moduli sum to 1 within 1e-9.
+``dims`` is ``[2, 2]`` or ``[2, 3]`` (:data:`ent23.measures.SUPPORTED_DIMS`,
+read here too).  ``amplitudes`` lists one ``[real, imaginary]`` pair of
+numbers per basis state, ordered by the composite index ``d_b * i + j``
+(qubit level ``i`` major), and must contain exactly ``2 * d_b`` entries
+whose squared moduli sum to 1 within 1e-9.
 Complex values are always explicit pairs; string forms like ``"1+2j"`` are
 rejected with the rest of malformed input.  A file nested deeper than the
 JSON decoder's recursion limit is malformed input too.
@@ -36,9 +37,7 @@ import sys
 import numpy as np
 
 from .errors import StateFileError, UnsupportedDimensionError
-from .measures import PureState
-
-SUPPORTED_DIMS = ((2, 2), (2, 3))
+from .measures import SUPPORTED_DIMS, PureState
 
 _NUMBER = (int, float)
 _FLOAT_MAX = sys.float_info.max
@@ -81,9 +80,8 @@ def parse_state_file(text: str | bytes, renormalize: bool = False) -> PureState:
              and type(dims[0]) is int and type(dims[1]) is int,
              "'dims' must be a pair of integers")
     if tuple(dims) not in SUPPORTED_DIMS:
-        raise UnsupportedDimensionError(
-            f"dims {dims} unsupported; expected [2, 2] or [2, 3]"
-        )
+        raise UnsupportedDimensionError(f"dims {dims} unsupported; expected "
+                                        + " or ".join(str(list(d)) for d in SUPPORTED_DIMS))
     d_b = dims[1]
 
     entries = payload["amplitudes"]

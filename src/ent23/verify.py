@@ -36,7 +36,6 @@ two-term states evaluate exactly.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +43,7 @@ import numpy as np
 from ._exact import dot, modulus, norm, square, unit
 from .bases import reconstruct, reduced_b, GELL_MANN, PAULI
 from .errors import ValidationError
-from .linalg import require_count
+from .linalg import require_count, require_real
 from .measures import PureState, _measure, concurrence_amplitudes, von_neumann_entropy
 from .rng import RandomStream
 from .sampling import (
@@ -197,7 +196,7 @@ def run_verification(n_states: int = 1000, seed: int = 42,
     bound).  Requires ``n_states >= 1``.
     """
     n_states = require_count(n_states, "n_states")
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 <= tol < math.inf:
+    if not 0.0 <= require_real(tol, "tol") < math.inf:
         raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
 
     stream = RandomStream(seed)

@@ -281,14 +281,16 @@ def test_verify_json_format(capsys):
     assert "max-u-v-norm-gap" in payload["observations"]
 
 
-def test_verify_rejects_bad_arguments():
-    with pytest.raises(SystemExit) as excinfo:
-        main(["verify", "--n", "0"])
-    assert excinfo.value.code == 2
-    for tol in ("-1", "nan", "inf"):
-        with pytest.raises(SystemExit) as excinfo:
-            main(["verify", "--tol", tol])
-        assert excinfo.value.code == 2, tol
+def test_verify_rejects_bad_arguments(tmp_path, capsys):
+    # The library's own checks reject the count and the tolerance: one error
+    # line, exit 2, and a rejected sample count opens no output file.
+    path = tmp_path / "never.csv"
+    for argv in (["verify", "--n", "0"], ["verify", "--tol", "-1"], ["verify", "--tol", "nan"],
+                 ["verify", "--tol", "inf"], ["sample", "--n", "0", "--out", str(path)]):
+        code, out, err = run(argv, capsys)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("error: ") and err.count("\n") == 1, argv
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("tol", (-1.0, math.nan, math.inf, True, np.True_, "1e-10", None))
@@ -305,7 +307,7 @@ def test_run_verification_rejects_a_bool_state_count():
 
 def test_run_verification_rejects_a_bool_seed():
     # True passes operator.index as 1; it must not run the seed-1 suite.
-    with pytest.raises(ValidationError, match="seed and counter must be integers, got True"):
+    with pytest.raises(ValidationError, match="seed must be an integer, got True"):
         run_verification(seed=True)
 
 

@@ -129,7 +129,7 @@ def test_seed_wraps_to_64_bits():
 def test_non_integer_seed_or_counter_is_rejected(seed, counter):
     # Truncating would silently draw another stream: 2.5 gave seed 2's, and
     # True seed 1's.
-    with pytest.raises(ValidationError, match="must be integers"):
+    with pytest.raises(ValidationError, match="must be an integer, got "):
         RandomStream(seed, counter)
 
 

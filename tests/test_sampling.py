@@ -16,6 +16,7 @@ from ent23 import (
     schmidt_decompose,
     schmidt_pair_state,
 )
+from ent23.sampling import haar_chunks
 
 INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
@@ -42,7 +43,7 @@ def test_haar_random_independent_streams_differ():
 
 
 def test_haar_random_rejects_bad_dims():
-    for dims in ((3, 3), (2, 3, 4), (2,)):
+    for dims in ((3, 3), (2, 3, 4), (2,), 3):
         with pytest.raises(ValidationError, match=r"supported dims are \(2, 2\) and \(2, 3\)"):
             haar_random(dims, RandomStream(0))
 
@@ -106,6 +107,10 @@ def test_schmidt_pair_rejects_out_of_range():
         schmidt_pair_state(0.5)
     with pytest.raises(ValidationError):
         schmidt_pair_state(1.1)
+    with pytest.raises(ValidationError, match="must be an integer, got 2.0"):
+        schmidt_pair_state(0.8, 2.0)
+    with pytest.raises(ValidationError, match="k1 must be a real number, got True"):
+        schmidt_pair_state(True)
 
 
 def test_random_unitary_is_unitary():
@@ -124,6 +129,10 @@ BAD_SIZES = {
     "unitary n 2.5": lambda stream: random_unitary(2, stream, n=2.5),
     "haar dims (2, 3.0)": lambda stream: haar_random((2, 3.0), stream),
     "haar n 2.0": lambda stream: haar_random((2, 3), stream, n=2.0),
+    "haar chunks n 0": lambda stream: haar_chunks((2, 3), stream, 0),
+    "haar chunks n -3": lambda stream: haar_chunks((2, 3), stream, -3),
+    "haar chunks n 2.5": lambda stream: haar_chunks((2, 3), stream, 2.5),
+    "haar chunks n True": lambda stream: haar_chunks((2, 3), stream, True),
     "gaussian n 2.0": lambda stream: stream.next_gaussian(2.0),
     "gaussian n True": lambda stream: stream.next_gaussian(True),
     "verify n_states 2.5": lambda stream: run_verification(n_states=2.5),
@@ -153,3 +162,6 @@ def test_rotate_local_preserves_norm():
                            random_unitary(3, stream))
     assert isinstance(rotated, PureState)
     assert abs(np.linalg.norm(rotated.vector()) - 1.0) < 1e-12
+    # A unitary of the wrong shape is named, not left to NumPy's matmul.
+    with pytest.raises(ValidationError, match=r"got shapes \(2, 2\) and \(2, 2\)"):
+        rotate_local(psi, np.eye(2), np.eye(2))
