@@ -92,8 +92,8 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``ent23`` argument parser, built once per process."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The ``ent23`` parser and each command's own parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="ent23",
         description="Entanglement measures for qubit-qubit and qubit-qutrit "
@@ -131,11 +131,25 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output path, '-' for standard output")
     sample.set_defaults(func=_cmd_sample)
 
-    return parser
+    return parser, {"compute": compute, "verify": verify, "sample": sample}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``ent23`` argument parser, built once per process."""
+    return _parsers()[0]
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    parser, commands = _parsers()
+    # A command's arguments go to its own parser alone.  The top-level parser
+    # takes the rest: help, a missing or unknown command, and arguments the
+    # command leaves over, which it reports under its own usage.
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+    if command is None or extra:
+        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except (ValidationError, StateFileError, ConsistencyError, OSError) as exc:

@@ -21,6 +21,9 @@ from .rng import RandomStream
 #: Tolerance on the norm of the factors passed to :func:`product_state`.
 FACTOR_NORM_TOL = 1e-9
 
+#: Largest entry of ``|U U^H - I|`` that :func:`rotate_local` takes as unitary.
+UNITARY_TOL = 1e-9
+
 #: Random states that :func:`haar_chunks` draws, stacks and hands on at a
 #: time (``ent23 sample`` and ``ent23 verify``).  No output depends on it: a
 #: stacked call gives the same bits as one call per state.  Each stack pays a
@@ -146,7 +149,13 @@ def rotate_local(psi: PureState, u_a: np.ndarray, u_b: np.ndarray) -> PureState:
     """Apply the product unitary ``u_a (x) u_b`` to a pure state; on a stack,
     unitaries ``(N, 2, 2)`` and ``(N, d_b, d_b)`` rotate each state with its own."""
     d_b = psi.d_b
-    if np.shape(u_a)[-2:] + np.shape(u_b)[-2:] != (2, 2, d_b, d_b):
+    u_a, u_b = np.asarray(u_a), np.asarray(u_b)
+    if u_a.shape[-2:] + u_b.shape[-2:] != (2, 2, d_b, d_b):
         raise ValidationError(f"a (2, {d_b}) state takes unitaries (2, 2) and ({d_b}, {d_b}); "
-                              f"got shapes {np.shape(u_a)} and {np.shape(u_b)}")
+                              f"got shapes {u_a.shape} and {u_b.shape}")
+    for u, name in ((u_a, "u_a"), (u_b, "u_b")):
+        error = abs(u @ np.conj(np.swapaxes(u, -1, -2)) - np.eye(u.shape[-1]))
+        if not np.all(error <= UNITARY_TOL):  # so that a NaN entry fails too
+            raise ValidationError(f"{name} is not unitary: some entry of |U U^H - I| "
+                                  f"exceeds {UNITARY_TOL}")
     return PureState(u_a @ psi.amplitudes @ np.swapaxes(u_b, -1, -2))

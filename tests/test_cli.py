@@ -399,3 +399,91 @@ def test_sample_stdout_bytes_equal_file_bytes(tmp_path):
     assert to_file.returncode == 0 and to_file.stdout == b""
     assert to_stdout.returncode == 0
     assert to_stdout.stdout == path.read_bytes()
+
+
+_USAGE = "usage: ent23 [-h] {compute,verify,sample} ...\n"
+_COMPUTE_USAGE = "usage: ent23 compute [-h] [--format {text,json}] [--renormalize] state_file\n"
+_SAMPLE_USAGE = "usage: ent23 sample [-h] [--n N] [--seed SEED] [--out OUT]\n"
+_VERIFY_USAGE = ("usage: ent23 verify [-h] [--n N] [--seed SEED] [--tol TOL]\n"
+                 "                    [--format {text,json}]\n")
+
+#: ``sys.argv`` for the ``main(None)`` case.
+_SYS_ARGV = ["ent23", "sample", "--n", "2", "--seed", "zz"]
+
+#: Exit code, stdout and stderr of ``main(argv)`` at 80 columns, recorded with
+#: CPython 3.11 while ``main`` still parsed every command through the
+#: top-level parser.  ``None`` reads :data:`_SYS_ARGV`.
+CLI_BYTES = [
+    pytest.param([], 2, "", _USAGE + "ent23: error: the following arguments are required: "
+                 "command\n", id="no-arguments"),
+    pytest.param(["--help"], 0, _USAGE + (
+        "\n"
+        "Entanglement measures for qubit-qubit and qubit-qutrit pure states, cross-\n"
+        "verified along independent routes.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {compute,verify,sample}\n"
+        "    compute             print the measure report for a state file\n"
+        "    verify              run the cross-formula verification suite\n"
+        "    sample              write a CSV of measures over a random ensemble\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"), "", id="--help"),
+    pytest.param(["compute", "--help"], 0, _COMPUTE_USAGE + (
+        "\n"
+        "positional arguments:\n"
+        "  state_file            path to a JSON state file\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --format {text,json}\n"
+        "  --renormalize         rescale amplitudes to unit norm before use\n"), "",
+        id="compute --help"),
+    pytest.param(["sample", "-h"], 0, _SAMPLE_USAGE + (
+        "\n"
+        "options:\n"
+        "  -h, --help   show this help message and exit\n"
+        "  --n N        number of states (default 100)\n"
+        "  --seed SEED  ensemble seed (default 42)\n"
+        "  --out OUT    output path, '-' for standard output\n"), "", id="sample -h"),
+    pytest.param(["verify", "--help"], 0, _VERIFY_USAGE + (
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"
+        "  --n N                 number of random states (default 1000)\n"
+        "  --seed SEED           ensemble seed (default 42)\n"
+        "  --tol TOL             tolerance for the floating-point checks (default\n"
+        "                        1e-10)\n"
+        "  --format {text,json}\n"), "", id="verify --help"),
+    pytest.param(["nosuch"], 2, "", _USAGE + "ent23: error: argument command: invalid choice: "
+                 "'nosuch' (choose from 'compute', 'verify', 'sample')\n", id="nosuch"),
+    pytest.param(["-x"], 2, "", _USAGE + "ent23: error: the following arguments are required: "
+                 "command\n", id="-x"),
+    pytest.param(["compute"], 2, "", _COMPUTE_USAGE + "ent23 compute: error: the following "
+                 "arguments are required: state_file\n", id="compute"),
+    pytest.param(["sample", "--n", "x"], 2, "", _SAMPLE_USAGE + "ent23 sample: error: "
+                 "argument --n: invalid int value: 'x'\n", id="sample --n x"),
+    pytest.param(["verify", "--format", "xml"], 2, "", _VERIFY_USAGE + "ent23 verify: error: "
+                 "argument --format: invalid choice: 'xml' (choose from 'text', 'json')\n",
+                 id="verify --format xml"),
+    # Arguments a command leaves over are reported under the top-level usage.
+    pytest.param(["compute", "missing.json", "--bogus"], 2, "", _USAGE + "ent23: error: "
+                 "unrecognized arguments: --bogus\n", id="compute F --bogus"),
+    pytest.param(["verify", "--n", "5", "stray"], 2, "", _USAGE + "ent23: error: "
+                 "unrecognized arguments: stray\n", id="verify --n 5 stray"),
+    pytest.param(None, 2, "", _SAMPLE_USAGE + "ent23 sample: error: argument --seed: "
+                 "invalid int value: 'zz'\n", id="sys.argv"),
+]
+
+
+@pytest.mark.parametrize(("argv", "code", "out", "err"), CLI_BYTES)
+def test_help_usage_and_error_bytes(monkeypatch, capsys, argv, code, out, err):
+    # argparse wraps help to the terminal width, which it reads from COLUMNS first.
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setattr(sys, "argv", _SYS_ARGV)
+    try:
+        got = main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert (got, captured.out, captured.err) == (code, out, err)

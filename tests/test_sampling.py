@@ -165,3 +165,25 @@ def test_rotate_local_preserves_norm():
     # A unitary of the wrong shape is named, not left to NumPy's matmul.
     with pytest.raises(ValidationError, match=r"got shapes \(2, 2\) and \(2, 2\)"):
         rotate_local(psi, np.eye(2), np.eye(2))
+
+
+@pytest.mark.parametrize(("u_a", "u_b", "name"), [
+    ([[1, 0], [0, 2]], np.diag([1, 5, 7]), "u_a"),
+    (np.eye(2), np.diag([1, 5, 7]), "u_b"),
+    (np.eye(2), np.diag([1.0, 1.0, np.nan]), "u_b"),
+    (np.eye(2), np.eye(3) * (1 + 1e-8), "u_b"),
+], ids=["diag-1-2", "diag-1-5-7", "nan", "scaled"])
+def test_rotate_local_rejects_non_unitary_matrices(u_a, u_b, name):
+    # diag(1, 2) and diag(1, 5, 7) keep |00> a unit vector: PureState alone accepts the result.
+    with pytest.raises(ValidationError, match=f"{name} is not unitary"):
+        rotate_local(schmidt_pair_state(1.0), u_a, u_b)
+
+
+def test_rotate_local_checks_every_unitary_of_a_stack():
+    stream = RandomStream(36)
+    u_a, u_b = random_unitary(2, stream, n=3), random_unitary(3, stream, n=3)
+    stack = haar_random((2, 3), stream, n=3)
+    rotate_local(stack, u_a, u_b)
+    u_b[1] *= 1.5
+    with pytest.raises(ValidationError, match="u_b is not unitary"):
+        rotate_local(stack, u_a, u_b)
