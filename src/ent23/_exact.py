@@ -24,9 +24,25 @@ modules use them instead:
   :func:`norm`).  The strides matter: from a Fortran-ordered stack the
   stacked dot gave other bits, so stacks are kept in C order, and
   :func:`norm` takes a C-ordered copy of whatever it is given.
-- NumPy's SIMD ``log``, ``log2``, ``acos`` and ``cos`` differ from libm's in
-  the last bit: ``np.log`` differed from ``math.log`` on 657 of 200000
-  inputs.  The random stream's Box-Muller and the 3x3 solver apply libm per
+- Some of NumPy's SIMD math loops differ from libm (glibc) in the last bit,
+  and which ones depends on the level NumPy dispatches to.  Mismatches on
+  1M inputs each, NumPy 2.4.6 on AVX-512, levels set with
+  ``NPY_DISABLE_CPU_FEATURES``:
+
+  ==========  ================  =============  ===============
+  function    default (X86_V4)  X86_V4 off     X86_V3+V4 off
+  ==========  ================  =============  ===============
+  ``cos``     0                 0              0
+  ``log``     3445 (0.34 %)     0              0
+  ``log2``    1924 (0.19 %)     0              0
+  ``arccos``  94283 (9.4 %)     0              0
+  ==========  ================  =============  ===============
+
+  The inputs were the stream's (``cos``, ``log``) and uniform ones in the
+  solver's and the entropies' ranges.  ``np.cos`` also matched on the 19.9M
+  inputs of ``tests/test_numpy_cos.py`` at each level; that test checks it on
+  every level the host can run.  So the random stream's Box-Muller and the
+  3x3 solver call ``np.cos``, and apply ``math.log`` and ``math.acos`` per
   element (:func:`libm_map`); the entropies sum ``p log2 p`` per element in
   Python.
 - The codec (:mod:`ent23.bases`) adds only the nonzero terms where

@@ -116,7 +116,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import _require_stack, _Valid, _worst, require_finite, require_hermitian
+from .linalg import (_require_array, _require_stack, _Valid, _worst, require_finite,
+                     require_hermitian)
 
 #: Validation tolerances for density matrices.
 DENSITY_HERMITICITY_TOL = 1e-10
@@ -288,9 +289,8 @@ class CoherenceDecomposition:
             arrays = (self.u.array, self.v.array, self.beta.array)
         else:
             # C-ordered copies: the bits of a stacked dot depend on the layout.
-            u = np.array(self.u, dtype=float, order="C")
-            v = np.array(self.v, dtype=float, order="C")
-            beta = np.array(self.beta, dtype=float, order="C")
+            u, v, beta = (_require_array(x, float, name, "C")
+                          for x, name in ((self.u, "u"), (self.v, "v"), (self.beta, "beta")))
             batch = u.shape[:-1]
             if (u.shape[-1:] != (3,) or v.shape != batch + (8,)
                     or beta.shape != batch + (3, 8) or len(batch) > 1):

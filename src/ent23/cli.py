@@ -142,14 +142,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser, commands = _parsers()
-    # A command's arguments go to its own parser alone.  The top-level parser
-    # takes the rest: help, a missing or unknown command, and arguments the
-    # command leaves over, which it reports under its own usage.
+    # A command's arguments go to its own parser alone, which reports any it
+    # leaves over under its own usage.  The top-level parser takes the rest:
+    # help and a missing or unknown command.
     command = commands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extra = command.parse_known_args(argv[1:])
-    if command is None or extra:
-        args = parser.parse_args(argv)
+    args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
         return args.func(args)
     except (ValidationError, StateFileError, ConsistencyError, OSError) as exc:

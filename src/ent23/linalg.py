@@ -106,10 +106,19 @@ def _worst(errors: np.ndarray) -> tuple[int, str]:
     return index, (f" (item {index} of the stack)" if errors.ndim else "")
 
 
+def _require_array(values, dtype, what: str, order: str = "K") -> np.ndarray:
+    """``np.array(values, dtype, order=order)``, rejecting what NumPy cannot
+    convert: input that is not numeric, or is ragged."""
+    try:
+        return np.array(values, dtype, order=order)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{what} is not a rectangular array of numbers ({exc})") from None
+
+
 def _require_stack(values, shapes, what: str) -> np.ndarray:
     """``values`` as a new finite complex array of one of the 2-D ``shapes``,
     or a nonempty stack ``(N, ...)`` of arrays of one of them."""
-    arr = np.array(values, dtype=complex)
+    arr = _require_array(values, complex, what)
     if arr.shape[-2:] not in shapes or arr.ndim not in (2, 3) or arr.size == 0:
         raise ValidationError(f"{what} must have shape {' or '.join(map(str, shapes))}, "
                               f"or be a nonempty stack (N, ...) of them; got shape {arr.shape}")
@@ -288,7 +297,7 @@ def hermitian_eig3(matrix):
     r = np.clip(((t[0] - t[1]) + t[2]) / 2.0, -1.0, 1.0)
     phi = libm_map(math.acos, r) / 3.0
     angle = np.where(r >= 0.0, phi, phi + 2.0 * math.pi / 3.0)
-    isolated = q + 2.0 * p * libm_map(math.cos, angle)
+    isolated = q + 2.0 * p * np.cos(angle)
     minors = (a * b - s01) + (a * c - s02) + (b * c - s12)
     pair_sum = trace - isolated
     pair_prod = minors - isolated * pair_sum

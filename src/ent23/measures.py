@@ -43,8 +43,8 @@ import numpy as np
 from ._exact import TINY, dot, minor, modulus, norm, square, unit
 from .bases import CoherenceDecomposition, DensityMatrix, decompose, reduced_a
 from .errors import ValidationError
-from .linalg import (_any, _require_stack, _Valid, _worst, hermitian_eig2, hermitian_eig3,
-                     hermitian_eigvecs2)
+from .linalg import (_any, _require_array, _require_stack, _Valid, _worst, hermitian_eig2,
+                     hermitian_eig3, hermitian_eigvecs2)
 
 #: Construction tolerance on the squared norm of a pure state.
 STATE_NORM_TOL = 1e-9
@@ -324,11 +324,15 @@ def concurrence_schmidt(form: SchmidtForm):
     return _out(np.minimum(1.0, 2.0 * form.k1 * form.k2))
 
 
-def _require_unit_interval(x: np.ndarray, what: str) -> None:
+def _unit_interval(x, what: str):
+    """``x`` as floats clamped to [0, 1], rejecting values further than
+    :data:`DOMAIN_TOL` outside it, and NaN."""
+    x = _require_array(x, float, what)[()]
     outside = ~((x >= -DOMAIN_TOL) & (x <= 1.0 + DOMAIN_TOL))  # NaN too
     if _any(outside):
         bad = float(np.ravel(x)[np.ravel(outside)][0])
         raise ValidationError(f"{what} {bad!r} is outside [0, 1]")
+    return np.minimum(1.0, np.maximum(0.0, x))
 
 
 def _entropies(rows, shape) -> np.ndarray:
@@ -356,9 +360,7 @@ def binary_entropy(x):
     :data:`DOMAIN_TOL` outside [0, 1] are clamped, anything further out is a
     domain error.
     """
-    x = np.asarray(x, dtype=float)[()]
-    _require_unit_interval(x, "binary entropy argument")
-    return _binary_entropies(np.minimum(1.0, np.maximum(0.0, x)))
+    return _binary_entropies(_unit_interval(x, "binary entropy argument"))
 
 
 def eof_from_concurrence(c):
@@ -367,9 +369,7 @@ def eof_from_concurrence(c):
     ``h((1 + sqrt(1 - c**2)) / 2)`` with the root argument clamped at zero;
     strictly increasing from 0 at ``c = 0`` to 1 at ``c = 1``.
     """
-    c = np.asarray(c, dtype=float)[()]
-    _require_unit_interval(c, "concurrence")
-    c = np.minimum(1.0, np.maximum(0.0, c))
+    c = _unit_interval(c, "concurrence")
     return _binary_entropies(0.5 * (1.0 + np.sqrt(np.maximum(0.0, 1.0 - c * c))))
 
 

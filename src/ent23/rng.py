@@ -8,9 +8,9 @@ independent streams because the mix function decorrelates them.
 
 Gaussian draws use the Box-Muller transform (cosine branch) and consume
 exactly two raw words each, so the counter advances by two per draw.  The
-sequence for a given seed is reproducible bit-for-bit wherever ``log``,
-``cos`` and ``sqrt`` are correctly rounded, which holds on every mainstream
-libm; the test suite pins a golden sequence to detect drift.
+sequence for a given seed is reproducible bit-for-bit wherever ``log`` and
+``cos`` round as glibc's libm does (``sqrt`` is correctly rounded
+everywhere); the test suite pins a golden sequence to detect drift.
 
 Block draws.  Because word ``i`` depends on nothing but ``i``, a block of
 words is computed at once from its counters, as in the counter-based
@@ -19,8 +19,9 @@ generators of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
 2**64 exactly as the definition does.  ``next_gaussian(n)`` gives the bits of
 ``n`` one-draw calls and leaves the counter where they would.  The uniforms,
 ``sqrt`` and the products by ``-2.0`` and ``2.0 * pi`` are exact or
-correctly rounded in NumPy too, but ``log`` and ``cos`` are libm's, applied
-per element (why, in :mod:`ent23._exact`).
+correctly rounded in NumPy too, and ``np.cos`` gives libm's bits on every
+SIMD level measured; ``log`` is libm's, applied per element, because
+NumPy's X86_V4 ``log`` is not (the table in :mod:`ent23._exact`).
 
 Streams are plain mutable values.  Concurrent samplers must not share one
 stream, and there is no split operation: give each sampler its own seed.
@@ -78,5 +79,5 @@ class RandomStream:
         words = self._words(2 * count)
         u = (words[0::2] + np.uint64(1)) * _INV_2_53   # in (0, 1], log-safe
         v = words[1::2] * _INV_2_53                     # in [0, 1)
-        draws = np.sqrt(-2.0 * libm_map(math.log, u)) * libm_map(math.cos, _TWO_PI * v)
+        draws = np.sqrt(-2.0 * libm_map(math.log, u)) * np.cos(_TWO_PI * v)
         return float(draws[0]) if n is None else draws

@@ -14,7 +14,7 @@ import numpy as np
 
 from ._exact import unit
 from .errors import ValidationError
-from .linalg import require_count, require_finite, require_integer, require_real
+from .linalg import _require_array, require_count, require_finite, require_integer, require_real
 from .measures import SUPPORTED_DIMS, PureState
 from .rng import RandomStream
 
@@ -93,8 +93,8 @@ def chunk_sizes(n: int):
 def product_state(phi_a, phi_b) -> PureState:
     """Tensor product of a qubit vector and a qubit/qutrit vector, or of each
     pair of a stack of factors ``(N, 2)`` and ``(N, d_b)``."""
-    a = require_finite(np.asarray(phi_a, dtype=complex), "phi_a")
-    b = require_finite(np.asarray(phi_b, dtype=complex), "phi_b")
+    a = require_finite(_require_array(phi_a, complex, "phi_a"), "phi_a")
+    b = require_finite(_require_array(phi_b, complex, "phi_b"), "phi_b")
     if (a.shape[-1:] + b.shape[-1:] not in SUPPORTED_DIMS
             or a.shape[:-1] != b.shape[:-1] or a.ndim > 2):
         raise ValidationError(
@@ -149,7 +149,7 @@ def rotate_local(psi: PureState, u_a: np.ndarray, u_b: np.ndarray) -> PureState:
     """Apply the product unitary ``u_a (x) u_b`` to a pure state; on a stack,
     unitaries ``(N, 2, 2)`` and ``(N, d_b, d_b)`` rotate each state with its own."""
     d_b = psi.d_b
-    u_a, u_b = np.asarray(u_a), np.asarray(u_b)
+    u_a, u_b = _require_array(u_a, complex, "u_a"), _require_array(u_b, complex, "u_b")
     if u_a.shape[-2:] + u_b.shape[-2:] != (2, 2, d_b, d_b):
         raise ValidationError(f"a (2, {d_b}) state takes unitaries (2, 2) and ({d_b}, {d_b}); "
                               f"got shapes {u_a.shape} and {u_b.shape}")

@@ -11,6 +11,7 @@ import ent23.measures
 import ent23.sampling
 import ent23.verify
 from ent23 import (
+    CoherenceDecomposition,
     DensityMatrix,
     EntanglementReport,
     PureState,
@@ -374,6 +375,26 @@ def test_stacked_density_checks_every_matrix():
 def test_unsupported_shapes_are_rejected(shape):
     with pytest.raises(ValidationError):
         PureState(np.ones(shape) / math.sqrt(max(1, np.prod(shape[-2:]))))
+
+
+@pytest.mark.parametrize("call", (
+    lambda: PureState([["a", "b"], ["c", "d"]]),
+    lambda: PureState([[1.0, 0.0, 0.0], [0.0, 0.0]]),
+    lambda: DensityMatrix([["a", "b"], ["c", "d"]]),
+    lambda: hermitian_eig2([[1.0, 0.0], [0.0]]),
+    lambda: hermitian_eig3([["a"] * 3] * 3),
+    lambda: hermitian_eigvecs2([[1.0, None], ["x", 1.0]]),
+    lambda: product_state("ab", [1.0, 0.0, 0.0]),
+    lambda: CoherenceDecomposition("abc", np.zeros(8), np.zeros((3, 8))),
+    lambda: binary_entropy("x"),
+    lambda: eof_from_concurrence([0.1, [0.2]]),
+    lambda: rotate_local(schmidt_pair_state(1.0), [["a", "b"], ["c", "d"]], np.eye(3)),
+), ids=("pure-text", "pure-ragged", "density-text", "eig2-ragged", "eig3-text",
+        "eigvecs2-text", "product-text", "coherence-text", "entropy-text", "eof-ragged",
+        "rotate-text"))
+def test_non_numeric_or_ragged_input_is_a_validation_error(call):
+    with pytest.raises(ValidationError, match="not a rectangular array of numbers"):
+        call()
 
 
 def test_nan_error_fails_its_check(monkeypatch):

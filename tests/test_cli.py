@@ -466,10 +466,10 @@ CLI_BYTES = [
     pytest.param(["verify", "--format", "xml"], 2, "", _VERIFY_USAGE + "ent23 verify: error: "
                  "argument --format: invalid choice: 'xml' (choose from 'text', 'json')\n",
                  id="verify --format xml"),
-    # Arguments a command leaves over are reported under the top-level usage.
-    pytest.param(["compute", "missing.json", "--bogus"], 2, "", _USAGE + "ent23: error: "
-                 "unrecognized arguments: --bogus\n", id="compute F --bogus"),
-    pytest.param(["verify", "--n", "5", "stray"], 2, "", _USAGE + "ent23: error: "
+    # Arguments a command leaves over are reported under that command's usage.
+    pytest.param(["compute", "missing.json", "--bogus"], 2, "", _COMPUTE_USAGE + "ent23 compute: "
+                 "error: unrecognized arguments: --bogus\n", id="compute F --bogus"),
+    pytest.param(["verify", "--n", "5", "stray"], 2, "", _VERIFY_USAGE + "ent23 verify: error: "
                  "unrecognized arguments: stray\n", id="verify --n 5 stray"),
     pytest.param(None, 2, "", _SAMPLE_USAGE + "ent23 sample: error: argument --seed: "
                  "invalid int value: 'zz'\n", id="sys.argv"),

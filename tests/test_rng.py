@@ -22,8 +22,10 @@ GOLDEN_SEED42 = [
 ]
 
 #: sha256 of the float64 bytes of the first 20000 draws for seed 42, from
-#: the one-draw-at-a-time code that predates block draws.  Block draws apply
-#: libm's log and cos per element; NumPy's SIMD np.log changes these bytes.
+#: the one-draw-at-a-time code that predates block draws, which applied
+#: libm's log and cos to each draw.  Block draws apply libm's log per element,
+#: since NumPy's X86_V4 np.log changes these bytes, and call np.cos, which
+#: keeps them on every SIMD level (tests/test_numpy_cos.py).
 GOLDEN_SEED42_DIGEST = "96e8ea8cd53c767686cb981b6ee62ee25ee680a335000d49cad0136b135de091"
 
 MASK64 = (1 << 64) - 1
