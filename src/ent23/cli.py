@@ -134,11 +134,6 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     return parser, {"compute": compute, "verify": verify, "sample": sample}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The ``ent23`` argument parser, built once per process."""
-    return _parsers()[0]
-
-
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     parser, commands = _parsers()

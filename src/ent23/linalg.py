@@ -56,11 +56,15 @@ DEGENERACY_TOL = 1e-12
 
 
 def require_finite(values, what: str = "input") -> np.ndarray:
-    """Return ``values`` as an ndarray, rejecting NaN or Inf entries."""
+    """Return ``values`` as an ndarray, rejecting NaN or Inf entries and
+    entries that are not numbers."""
     arr = np.asarray(values)
-    if not np.isfinite(arr).all():
-        raise ValidationError(f"{what} contains NaN or Inf entries")
-    return arr
+    try:
+        if np.isfinite(arr).all():
+            return arr
+    except TypeError:
+        raise ValidationError(f"{what} is not an array of numbers (dtype {arr.dtype})") from None
+    raise ValidationError(f"{what} contains NaN or Inf entries")
 
 
 def require_integer(value, what: str) -> int:
@@ -91,9 +95,12 @@ def require_count(value, what: str, minimum: int = 1) -> int:
 
 def require_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL,
                       what: str = "matrix") -> None:
-    """Raise unless ``matrix``, or each matrix of a stack ``(N, d, d)``, equals
-    its conjugate transpose within ``tol``."""
-    deviation = float(np.abs(matrix - np.conj(matrix.swapaxes(-1, -2))).max())
+    """Raise unless ``matrix``, or each matrix of a stack ``(N, d, d)``, is an
+    array of numbers that equals its conjugate transpose within ``tol``."""
+    try:
+        deviation = float(np.abs(matrix - np.conj(matrix.swapaxes(-1, -2))).max())
+    except TypeError:
+        raise ValidationError(f"{what} is not an array of numbers (dtype {matrix.dtype})") from None
     if deviation > tol:
         raise ValidationError(
             f"{what} is not Hermitian: max deviation {deviation:.3e} exceeds {tol:g}"
@@ -106,13 +113,24 @@ def _worst(errors: np.ndarray) -> tuple[int, str]:
     return index, (f" (item {index} of the stack)" if errors.ndim else "")
 
 
+def _complex(values) -> bool:
+    """Whether ``values`` holds complex numbers: an array or NumPy scalar by
+    its dtype, anything else as ``np.asarray`` converts it."""
+    arr = values if isinstance(values, (np.ndarray, np.generic)) else np.asarray(values)
+    return arr.dtype.kind == "c"
+
+
 def _require_array(values, dtype, what: str, order: str = "K") -> np.ndarray:
     """``np.array(values, dtype, order=order)``, rejecting what NumPy cannot
-    convert: input that is not numeric, or is ragged."""
+    convert: input that is not numeric, or is ragged.  Where reals are asked
+    for, complex input is rejected too (NumPy would drop its imaginary part);
+    an array or NumPy scalar is tested by its dtype, without a copy."""
     try:
-        return np.array(values, dtype, order=order)
+        if not (dtype is float and _complex(values)):
+            return np.array(values, dtype, order=order)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"{what} is not a rectangular array of numbers ({exc})") from None
+    raise ValidationError(f"{what} must be real, got complex input")
 
 
 def _require_stack(values, shapes, what: str) -> np.ndarray:

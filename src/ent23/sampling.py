@@ -154,7 +154,9 @@ def rotate_local(psi: PureState, u_a: np.ndarray, u_b: np.ndarray) -> PureState:
         raise ValidationError(f"a (2, {d_b}) state takes unitaries (2, 2) and ({d_b}, {d_b}); "
                               f"got shapes {u_a.shape} and {u_b.shape}")
     for u, name in ((u_a, "u_a"), (u_b, "u_b")):
-        error = abs(u @ np.conj(np.swapaxes(u, -1, -2)) - np.eye(u.shape[-1]))
+        # Entries that overflow (or make inf - inf) fail the test as inf or NaN.
+        with np.errstate(over="ignore", invalid="ignore"):
+            error = abs(u @ np.conj(np.swapaxes(u, -1, -2)) - np.eye(u.shape[-1]))
         if not np.all(error <= UNITARY_TOL):  # so that a NaN entry fails too
             raise ValidationError(f"{name} is not unitary: some entry of |U U^H - I| "
                                   f"exceeds {UNITARY_TOL}")

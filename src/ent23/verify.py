@@ -7,6 +7,13 @@ passes when that maximum stays within its tolerance; the floating-point
 checks all share the caller's tolerance, while the one statistical check (the
 ensemble purity mean) carries its own Monte-Carlo bound.
 
+Every check is one row of the table :data:`_CHECKS`, in report order, and
+lives nowhere else: its name, the stack it reads, its per-state error, which
+of those errors its mask keeps, and its bound.  :data:`CHECK_NAMES` is read
+off the table.  Adding a check is one row there plus one row of
+``MUTATIONS`` in ``tests/test_verify_mutations.py``: a single monkeypatch
+under which the new check must report FAIL.
+
 Every family is drawn from the seed's stream in a fixed order, and each check
 computes an error per state and keeps the largest.  The random ensemble, and
 the random states and local unitaries of the rotation pairs, are drawn and
@@ -27,16 +34,18 @@ The Bloch- and Schmidt-route concurrences and the subsystem entropies take
 square roots of quantities that vanish on rank-deficient reduced states,
 where rounding noise is amplified to ~1e-8.  A per-state mask keeps the
 states on that boundary -- the product states and the k1 = 1 point of the
-two-term family -- out of those comparisons; they are checked through the
-robust routes only (amplitude concurrence, coherence-vector norms, codec
-round trips).  Random states never come near the boundary, and the other
-two-term states evaluate exactly.
+two-term family -- out of those comparisons (a row's ``amplified`` errors);
+they are checked through the robust routes only (amplitude concurrence,
+coherence-vector norms, codec round trips).  Random states never come near
+the boundary, and the other two-term states evaluate exactly.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -67,27 +76,9 @@ _N_PRODUCT = 50
 _N_ROTATED_BELL = 5
 _MAX_ROTATIONS = 1000
 _SCHMIDT_GRID = (1.0 / math.sqrt(2.0), 0.75, math.sqrt(3.0) / 2.0, 0.9, 0.97, 1.0)
-
-CHECK_NAMES = (
-    "concurrence-amplitude-vs-bloch",
-    "concurrence-amplitude-vs-schmidt",
-    "concurrence-bloch-vs-schmidt",
-    "concurrence-range",
-    "eof-vs-entropy-a",
-    "entropy-a-vs-entropy-b",
-    "schmidt-quadratic",
-    "schmidt-normalization",
-    "schmidt-orthonormality",
-    "schmidt-reconstruction",
-    "schmidt-pair-round-trip",
-    "codec-round-trip",
-    "reduced-consistency",
-    "purity-relation",
-    "product-state-norms",
-    "product-state-concurrence",
-    "local-unitary-invariance",
-    "purity-mean",
-)
+_GRID = np.array(_SCHMIDT_GRID)
+# The two-term grid's rows of the fixed-family stack.
+_ON_GRID = slice(_N_ROTATED_BELL, -_N_PRODUCT)
 
 
 @dataclass(frozen=True)
@@ -121,15 +112,103 @@ class VerifyOutcome:
         raise KeyError(name)
 
 
-def _record(worst: dict[str, float], name: str, errors) -> None:
-    """Fold the largest of a stack's per-state ``errors`` into ``worst[name]``;
-    a NaN error sticks, so its check fails."""
-    largest = float(np.max(errors))
-    worst[name] = largest if math.isnan(largest) else max(worst[name], largest)
+# The stacks a check reads, and the measures its error functions get:
+# - _EACH: every measured stack (each random chunk, and the fixed families),
+#   as a namespace of the report's fields plus psi, rho, rho_a, rho_b,
+#   coeffs, form and the stack's per-state mask ``amplified``;
+# - _FAMILIES: the fixed-family stack's report;
+# - _ROTATIONS: each chunk of rotation pairs, as a namespace of psi, u_a, u_b;
+# - _ENSEMBLE: the mean qubit purity of the whole random ensemble.
+_EACH, _FAMILIES, _ROTATIONS, _ENSEMBLE = "each", "families", "rotations", "ensemble"
+
+# One check: its name, the stack it reads, and its per-state errors from that
+# stack's measures: ``error`` on every state, ``amplified`` (the masked part)
+# only on the states that the stack's mask keeps.  It passes while the
+# largest error stays within ``bound(tol, n_states)``.
+_Check = namedtuple("_Check", ("name", "stack", "error", "amplified", "bound"),
+                    defaults=(lambda m: 0.0, None, lambda tol, n_states: tol))
 
 
 def _outside_unit(values: np.ndarray) -> np.ndarray:
     return np.maximum(0.0, np.maximum(-values, values - 1.0))
+
+
+def _schmidt_orthonormality(m):
+    x1, x2, y1, y2 = m.form.x1, m.form.x2, m.form.y1, m.form.y2
+    return np.maximum.reduce([modulus(dot(np.conj(x1), x2)), modulus(dot(np.conj(y1), y2)),
+                              *(abs(norm(vec) - 1.0) for vec in (x1, x2, y1, y2))])
+
+
+def _schmidt_reconstruction(m):
+    # Distance minimized over a global phase, computed on the difference
+    # vector itself (an expansion into squared norms cancels catastrophically).
+    rebuilt = m.form.reconstruct().reshape(-1, 6)
+    vec = m.psi.vector()
+    overlap = dot(np.conj(rebuilt), vec)
+    size = modulus(overlap)
+    phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0.0)
+    return norm(vec - rebuilt * phase[:, None])
+
+
+def _codec_round_trip(m):
+    round_trip = reconstruct(m.coeffs)
+    round_trip -= m.rho.matrix
+    return np.abs(round_trip).max(axis=(1, 2))
+
+
+def _reduced_consistency(m):
+    expect_a = 0.5 * (np.eye(2) + np.einsum("nk,kab->nab", m.coeffs.u, PAULI))
+    expect_b = (np.eye(3)
+                + math.sqrt(3.0) * np.einsum("nk,kab->nab", m.coeffs.v, GELL_MANN)) / 3.0
+    return np.maximum(np.abs(m.rho_a.matrix - expect_a).max(axis=(1, 2)),
+                      np.abs(m.rho_b.matrix - expect_b).max(axis=(1, 2)))
+
+
+_CHECKS = (
+    _Check("concurrence-amplitude-vs-bloch", _EACH,
+           amplified=lambda m: abs(m.c_amplitude - m.c_bloch)),
+    _Check("concurrence-amplitude-vs-schmidt", _EACH,
+           amplified=lambda m: abs(m.c_amplitude - m.c_schmidt)),
+    _Check("concurrence-bloch-vs-schmidt", _EACH, amplified=lambda m: abs(m.c_bloch - m.c_schmidt)),
+    _Check("concurrence-range", _EACH, lambda m: _outside_unit(m.c_amplitude),
+           amplified=lambda m: np.maximum(_outside_unit(m.c_bloch), _outside_unit(m.c_schmidt))),
+    _Check("eof-vs-entropy-a", _EACH, amplified=lambda m: abs(m.eof - m.vn_entropy_a)),
+    _Check("entropy-a-vs-entropy-b", _EACH,
+           amplified=lambda m: abs(m.vn_entropy_a - von_neumann_entropy(m.rho_b))),
+    _Check("schmidt-quadratic", _EACH, amplified=lambda m: abs(
+        4.0 * np.linalg.det(m.rho_a.matrix).real - m.c_amplitude * m.c_amplitude)),
+    _Check("schmidt-normalization", _EACH, lambda m: abs(square(m.k1) + square(m.k2) - 1.0)),
+    _Check("schmidt-orthonormality", _EACH, _schmidt_orthonormality),
+    _Check("schmidt-reconstruction", _EACH, _schmidt_reconstruction),
+    _Check("schmidt-pair-round-trip", _FAMILIES, lambda r: np.maximum(
+        abs(r.k1[_ON_GRID] - _GRID), abs(r.k2[_ON_GRID] - np.sqrt(1.0 - _GRID * _GRID)))),
+    _Check("codec-round-trip", _EACH, _codec_round_trip),
+    _Check("reduced-consistency", _EACH, _reduced_consistency),
+    _Check("purity-relation", _EACH,
+           lambda m: abs(square(m.v_norm) - (1.0 + 3.0 * square(m.u_norm)) / 4.0)),
+    _Check("product-state-norms", _FAMILIES, lambda r: np.maximum(
+        abs(r.u_norm[-_N_PRODUCT:] - 1.0), abs(r.v_norm[-_N_PRODUCT:] - 1.0))),
+    _Check("product-state-concurrence", _FAMILIES, lambda r: r.c_amplitude[-_N_PRODUCT:]),
+    _Check("local-unitary-invariance", _ROTATIONS, lambda p: abs(
+        concurrence_amplitudes(p.psi) - concurrence_amplitudes(rotate_local(p.psi, p.u_a, p.u_b)))),
+    _Check("purity-mean", _ENSEMBLE, lambda mean: abs(mean - (2 + 3) / (2 * 3 + 1)),
+           bound=lambda tol, n: PURITY_MEAN_TOL * max(1.0, math.sqrt(PURITY_MEAN_REFERENCE_N / n))),
+)
+
+CHECK_NAMES = tuple(check.name for check in _CHECKS)
+
+
+def _fold(worst: dict[str, float], stack: str, m) -> None:
+    """Fold the largest per-state error of each check that reads ``stack``,
+    from its measures ``m``, into ``worst``; a NaN error sticks, so its check
+    fails."""
+    for check in _CHECKS:
+        if check.stack == stack:
+            errors = check.error(m)
+            if check.amplified is not None:
+                errors = np.maximum(errors, np.where(m.amplified, check.amplified(m), 0.0))
+            largest = float(np.max(errors))
+            worst[check.name] = largest if math.isnan(largest) else max(worst[check.name], largest)
 
 
 def _check_stack(psi: PureState, worst: dict[str, float], amplified):
@@ -140,50 +219,9 @@ def _check_stack(psi: PureState, worst: dict[str, float], amplified):
     stack's report and its qubit purities, for the family checks.
     """
     report, rho, rho_a, coeffs, form = _measure(psi)
-    c_amp, c_blo, c_sch = report.c_amplitude, report.c_bloch, report.c_schmidt
-    s_a = report.vn_entropy_a
-    rho_b = reduced_b(rho)
-    det_a = np.linalg.det(rho_a.matrix).real
-    for name, errors in (
-        ("concurrence-amplitude-vs-bloch", abs(c_amp - c_blo)),
-        ("concurrence-amplitude-vs-schmidt", abs(c_amp - c_sch)),
-        ("concurrence-bloch-vs-schmidt", abs(c_blo - c_sch)),
-        ("concurrence-range", np.maximum(_outside_unit(c_blo), _outside_unit(c_sch))),
-        ("eof-vs-entropy-a", abs(report.eof - s_a)),
-        ("entropy-a-vs-entropy-b", abs(s_a - von_neumann_entropy(rho_b))),
-        ("schmidt-quadratic", abs(4.0 * det_a - c_amp * c_amp)),
-    ):
-        _record(worst, name, np.where(amplified, errors, 0.0))
-
-    _record(worst, "concurrence-range", _outside_unit(c_amp))
-    _record(worst, "schmidt-normalization", abs(square(form.k1) + square(form.k2) - 1.0))
-    _record(worst, "schmidt-orthonormality", np.maximum.reduce([
-        modulus(dot(np.conj(form.x1), form.x2)),
-        modulus(dot(np.conj(form.y1), form.y2)),
-        *(abs(norm(vec) - 1.0) for vec in (form.x1, form.x2, form.y1, form.y2)),
-    ]))
-
-    # Distance minimized over a global phase, computed on the difference
-    # vector itself (an expansion into squared norms cancels catastrophically).
-    rebuilt = form.reconstruct().reshape(-1, 6)
-    vec = psi.vector()
-    overlap = dot(np.conj(rebuilt), vec)
-    size = modulus(overlap)
-    phase = np.divide(overlap, size, out=np.ones_like(overlap), where=size > 0.0)
-    _record(worst, "schmidt-reconstruction", norm(vec - rebuilt * phase[:, None]))
-
-    round_trip = reconstruct(coeffs)
-    round_trip -= rho.matrix
-    _record(worst, "codec-round-trip", np.abs(round_trip).max(axis=(1, 2)))
-    expect_a = 0.5 * (np.eye(2) + np.einsum("nk,kab->nab", coeffs.u, PAULI))
-    expect_b = (np.eye(3)
-                + math.sqrt(3.0) * np.einsum("nk,kab->nab", coeffs.v, GELL_MANN)) / 3.0
-    _record(worst, "reduced-consistency", np.maximum(
-        np.abs(rho_a.matrix - expect_a).max(axis=(1, 2)),
-        np.abs(rho_b.matrix - expect_b).max(axis=(1, 2))))
-    _record(worst, "purity-relation",
-            abs(square(report.v_norm) - (1.0 + 3.0 * square(report.u_norm)) / 4.0))
-
+    _fold(worst, _EACH, SimpleNamespace(
+        **report.as_dict(), psi=psi, rho=rho, rho_a=rho_a, rho_b=reduced_b(rho),
+        coeffs=coeffs, form=form, amplified=amplified))
     return report, np.einsum("nij,nji->n", rho_a.matrix, rho_a.matrix).real
 
 
@@ -222,39 +260,29 @@ def run_verification(n_states: int = 1000, seed: int = 42,
              for _ in range(_N_ROTATED_BELL)]
     u_a, u_b = (np.stack(unitaries) for unitaries in zip(*pairs))
     factors = _complex_gaussians(stream, 5 * _N_PRODUCT).reshape(_N_PRODUCT, 5)
-    grid = np.array(_SCHMIDT_GRID)
     psi = PureState(np.concatenate([
         rotate_local(schmidt_pair_state(1.0 / math.sqrt(2.0)), u_a, u_b).amplitudes,
         [schmidt_pair_state(k1).amplitudes for k1 in _SCHMIDT_GRID],
         product_state(unit(factors[:, :2]), unit(factors[:, 2:])).amplitudes]))
     report, _ = _check_stack(psi, worst, np.concatenate(
-        ([True] * _N_ROTATED_BELL, grid < 1.0, [False] * _N_PRODUCT)))
-    on_grid = slice(_N_ROTATED_BELL, -_N_PRODUCT)
-    _record(worst, "schmidt-pair-round-trip", np.maximum(
-        abs(report.k1[on_grid] - grid), abs(report.k2[on_grid] - np.sqrt(1.0 - grid * grid))))
-    _record(worst, "product-state-norms", np.maximum(
-        abs(report.u_norm[-_N_PRODUCT:] - 1.0), abs(report.v_norm[-_N_PRODUCT:] - 1.0)))
-    _record(worst, "product-state-concurrence", report.c_amplitude[-_N_PRODUCT:])
+        ([True] * _N_ROTATED_BELL, _GRID < 1.0, [False] * _N_PRODUCT)))
+    _fold(worst, _FAMILIES, report)
 
     # The stream gives each pair as its state's 6 complex Gaussians, then
     # those of its two unitaries (4 and 9): one block per chunk of pairs.
     for size in chunk_sizes(min(n_states, _MAX_ROTATIONS)):
         block = _complex_gaussians(stream, 19 * size).reshape(size, 19)
-        psi = PureState(_haar_grids(block[:, :6]))
-        u_a = _haar_unitaries(block[:, 6:10].reshape(size, 2, 2))
-        u_b = _haar_unitaries(block[:, 10:].reshape(size, 3, 3))
-        _record(worst, "local-unitary-invariance",
-                abs(concurrence_amplitudes(psi)
-                    - concurrence_amplitudes(rotate_local(psi, u_a, u_b))))
+        _fold(worst, _ROTATIONS, SimpleNamespace(
+            psi=PureState(_haar_grids(block[:, :6])),
+            u_a=_haar_unitaries(block[:, 6:10].reshape(size, 2, 2)),
+            u_b=_haar_unitaries(block[:, 10:].reshape(size, 3, 3))))
 
     purity_mean = purity_sum / n_states
-    worst["purity-mean"] = abs(purity_mean - (2 + 3) / (2 * 3 + 1))
-    purity_tol = PURITY_MEAN_TOL * max(
-        1.0, math.sqrt(PURITY_MEAN_REFERENCE_N / n_states))
-    checks = tuple(CheckResult(name, worst[name], purity_tol if name == "purity-mean" else tol)
-                   for name in CHECK_NAMES)
-    observations = {
-        "purity-mean": purity_mean,
-        "max-u-v-norm-gap": gap_max,
-    }
+    _fold(worst, _ENSEMBLE, purity_mean)
+    checks = tuple(CheckResult(check.name, worst[check.name], check.bound(tol, n_states))
+                   for check in _CHECKS)
+    # The value each ensemble check measured, under its name, then the
+    # largest gap between the two coherence-vector norms.
+    observations = {check.name: purity_mean for check in _CHECKS if check.stack == _ENSEMBLE}
+    observations["max-u-v-norm-gap"] = gap_max
     return VerifyOutcome(checks=checks, observations=observations)

@@ -1,0 +1,75 @@
+"""Malformed input gives ``ValidationError`` and no warning.
+
+Each case was a leak: complex input where reals are expected lost its
+imaginary part (NumPy warned with ``ComplexWarning`` and went on), text
+arrays reached ``require_finite`` and ``require_hermitian`` as a bare
+``TypeError``, and an overflowing "unitary" printed a ``RuntimeWarning``
+before ``rotate_local`` rejected it.  ``pyproject.toml`` turns every
+``RuntimeWarning``, ``ComplexWarning`` included, into an error.
+"""
+
+import numpy as np
+import pytest
+
+from ent23 import (CoherenceDecomposition, ValidationError, binary_entropy,
+                   eof_from_concurrence, rotate_local, schmidt_pair_state)
+from ent23.linalg import require_finite, require_hermitian
+
+COMPLEX_INPUTS = {
+    "array": np.array([0.3 + 0.4j, 0.5]),
+    "zero-imaginary-array": np.array([0.3 + 0j, 0.5 + 0j]),
+    "0-d-array": np.array(0.3 + 0.4j),
+    "numpy-scalar": np.complex128(0.3 + 0.4j),
+    "numpy-complex64-scalar": np.complex64(0.3 + 0.4j),
+    "list-of-numpy-scalars": [np.complex128(0.3 + 0.4j), 0.5],
+    "python-scalar": 0.3 + 0.4j,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(COMPLEX_INPUTS))
+def test_binary_entropy_rejects_complex_input(kind):
+    with pytest.raises(ValidationError, match="binary entropy argument must be real"):
+        binary_entropy(COMPLEX_INPUTS[kind])
+
+
+@pytest.mark.parametrize("kind", sorted(COMPLEX_INPUTS))
+def test_eof_from_concurrence_rejects_complex_input(kind):
+    with pytest.raises(ValidationError, match="concurrence must be real"):
+        eof_from_concurrence(COMPLEX_INPUTS[kind])
+
+
+@pytest.mark.parametrize("name", ("u", "v", "beta"))
+def test_coherence_decomposition_rejects_complex_coefficients(name):
+    coefficients = {"u": np.zeros(3), "v": np.zeros(8), "beta": np.zeros((3, 8))}
+    coefficients[name] = coefficients[name] + 0.1j
+    with pytest.raises(ValidationError, match=f"{name} must be real"):
+        CoherenceDecomposition(**coefficients)
+    with pytest.raises(ValidationError, match=f"{name} must be real"):
+        CoherenceDecomposition(**dict(coefficients, **{name: coefficients[name].tolist()}))
+
+
+@pytest.mark.parametrize("value", (np.float64(0.3), np.float32(0.3), np.int64(0), 0.3, 1,
+                                   [0.3, np.float64(0.5)], np.array([0.3, 0.5], np.float32)),
+                         ids=("float64", "float32", "int64", "float", "int", "list", "float32-array"))
+def test_real_input_of_every_kind_is_still_taken(value):
+    for call in (binary_entropy, eof_from_concurrence):
+        assert np.ravel(call(value)).tolist() == [call(float(x)) for x in np.ravel(value)]
+
+
+@pytest.mark.parametrize("matrix", (np.array([["a", "b"], ["c", "d"]]),
+                                    np.array([[1.0, None], [None, 1.0]]),
+                                    np.array([[b"x"]])), ids=("text", "object", "bytes"))
+def test_require_finite_and_require_hermitian_reject_arrays_that_are_not_numbers(matrix):
+    with pytest.raises(ValidationError, match="input is not an array of numbers"):
+        require_finite(matrix)
+    with pytest.raises(ValidationError, match="matrix is not an array of numbers"):
+        require_hermitian(matrix)
+
+
+@pytest.mark.parametrize("scale", (1e300, -1e300, 1e300j))
+def test_rotate_local_rejects_an_overflowing_unitary_without_a_warning(scale):
+    psi = schmidt_pair_state(0.75)
+    with pytest.raises(ValidationError, match="u_a is not unitary"):
+        rotate_local(psi, scale * np.eye(2), np.eye(3))
+    with pytest.raises(ValidationError, match="u_b is not unitary"):
+        rotate_local(psi, np.eye(2), scale * np.full((3, 3), 1.0))
