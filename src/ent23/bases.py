@@ -289,7 +289,7 @@ class CoherenceDecomposition:
             arrays = (self.u.array, self.v.array, self.beta.array)
         else:
             # C-ordered copies: the bits of a stacked dot depend on the layout.
-            u, v, beta = (_require_array(x, float, name, "C")
+            u, v, beta = (require_finite(_require_array(x, float, name, "C"), name)
                           for x, name in ((self.u, "u"), (self.v, "v"), (self.beta, "beta")))
             batch = u.shape[:-1]
             if (u.shape[-1:] != (3,) or v.shape != batch + (8,)
@@ -298,8 +298,6 @@ class CoherenceDecomposition:
                     f"expected shapes (3,), (8,), (3, 8), each with an optional leading "
                     f"stack axis; got {u.shape}, {v.shape}, {beta.shape}"
                 )
-            for arr, name in ((u, "u"), (v, "v"), (beta, "beta")):
-                require_finite(arr, name)
             arrays = (u, v, beta)
         for name, arr in zip(("u", "v", "beta"), arrays):
             arr.setflags(write=False)
@@ -311,7 +309,7 @@ def _as_matrix6(rho) -> np.ndarray:
         if rho.dim == 6:
             return rho.matrix  # already checked
         rho = rho.matrix
-    return _require_stack(rho, ((6, 6),), "matrix")
+    return require_finite(_require_stack(rho, ((6, 6),), "matrix"), "matrix")
 
 
 def decompose(rho) -> CoherenceDecomposition:

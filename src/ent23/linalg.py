@@ -12,6 +12,16 @@ matrix accurate to machine precision instead of ``sqrt(eps)``.
 All functions are pure and thread-safe.  NaN/Inf inputs are rejected at the
 boundary; nothing downstream is expected to cope with them.
 
+One function, :func:`_numbers`, converts a caller's array input, for every
+array check of the package: :func:`require_finite`,
+:func:`require_hermitian` (through it) and :func:`_require_array` call it.
+Numbers are NumPy's bool, integer, float and complex dtypes, as arrays,
+NumPy scalars, Python numbers or rectangular nested lists of them.  Ragged
+input and every other dtype are rejected: text and bytes (numeric text
+too), ``None``, other objects, and Python ints beyond the float range,
+which NumPy holds as objects.  On an ndarray the conversion is one
+``np.asarray`` call, which neither copies nor runs a ufunc.
+
 All three solvers take a stack of ``N`` matrices as well as one, and give each
 the bits of a one-matrix call (:mod:`ent23._exact`).
 
@@ -55,23 +65,33 @@ HERMITICITY_TOL = 1e-12
 DEGENERACY_TOL = 1e-12
 
 
-def require_finite(values, what: str = "input") -> np.ndarray:
-    """Return ``values`` as an ndarray, rejecting NaN or Inf entries and
-    entries that are not numbers."""
-    arr = np.asarray(values)
+def _numbers(values, what: str) -> np.ndarray:
+    """``np.asarray(values)``, rejecting ragged input and any dtype but bool,
+    integer, float and complex (module notes)."""
     try:
-        if np.isfinite(arr).all():
-            return arr
-    except TypeError:
-        raise ValidationError(f"{what} is not an array of numbers (dtype {arr.dtype})") from None
-    raise ValidationError(f"{what} contains NaN or Inf entries")
+        arr = np.asarray(values)
+    except ValueError as exc:  # ragged, or nested deeper than NumPy allows
+        raise ValidationError(f"{what} is not a rectangular array of numbers ({exc})") from None
+    if arr.dtype.kind not in "biufc":
+        raise ValidationError(f"{what} is not a rectangular array of numbers (dtype {arr.dtype})")
+    return arr
+
+
+def require_finite(values, what: str = "input") -> np.ndarray:
+    """Return ``values`` as an ndarray (:func:`_numbers`), rejecting NaN or
+    Inf entries."""
+    arr = _numbers(values, what)
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} contains NaN or Inf entries")
+    return arr
 
 
 def require_integer(value, what: str) -> int:
     """Return ``value`` as an ``int``, rejecting non-integers: ``2.0`` too,
-    and ``True``, which ``operator.index`` would take as 1."""
+    and ``True``, which ``operator.index`` would take as 1 (as NumPy before
+    2.0 takes ``np.True_``, with a ``DeprecationWarning``)."""
     try:
-        if isinstance(value, bool):
+        if isinstance(value, (bool, np.bool_)):
             raise TypeError
         return operator.index(value)
     except TypeError:
@@ -93,14 +113,14 @@ def require_count(value, what: str, minimum: int = 1) -> int:
     return count
 
 
-def require_hermitian(matrix: np.ndarray, tol: float = HERMITICITY_TOL,
-                      what: str = "matrix") -> None:
-    """Raise unless ``matrix``, or each matrix of a stack ``(N, d, d)``, is an
-    array of numbers that equals its conjugate transpose within ``tol``."""
-    try:
-        deviation = float(np.abs(matrix - np.conj(matrix.swapaxes(-1, -2))).max())
-    except TypeError:
-        raise ValidationError(f"{what} is not an array of numbers (dtype {matrix.dtype})") from None
+def require_hermitian(matrix, tol: float = HERMITICITY_TOL, what: str = "matrix") -> None:
+    """Raise unless ``matrix``, or each matrix of a stack ``(N, d, d)``, is a
+    finite array of numbers (:func:`require_finite`) that equals its
+    conjugate transpose within ``tol``."""
+    m = require_finite(matrix, what)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValidationError(f"{what} must be square, got shape {m.shape}")
+    deviation = float(np.abs(m - np.conj(m.swapaxes(-1, -2))).max(initial=0.0))
     if deviation > tol:
         raise ValidationError(
             f"{what} is not Hermitian: max deviation {deviation:.3e} exceeds {tol:g}"
@@ -113,38 +133,30 @@ def _worst(errors: np.ndarray) -> tuple[int, str]:
     return index, (f" (item {index} of the stack)" if errors.ndim else "")
 
 
-def _complex(values) -> bool:
-    """Whether ``values`` holds complex numbers: an array or NumPy scalar by
-    its dtype, anything else as ``np.asarray`` converts it."""
-    arr = values if isinstance(values, (np.ndarray, np.generic)) else np.asarray(values)
-    return arr.dtype.kind == "c"
-
-
 def _require_array(values, dtype, what: str, order: str = "K") -> np.ndarray:
-    """``np.array(values, dtype, order=order)``, rejecting what NumPy cannot
-    convert: input that is not numeric, or is ragged.  Where reals are asked
-    for, complex input is rejected too (NumPy would drop its imaginary part);
-    an array or NumPy scalar is tested by its dtype, without a copy."""
-    try:
-        if not (dtype is float and _complex(values)):
-            return np.array(values, dtype, order=order)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{what} is not a rectangular array of numbers ({exc})") from None
-    raise ValidationError(f"{what} must be real, got complex input")
+    """``np.array(values, dtype, order=order)`` of numbers (:func:`_numbers`).
+    Where reals are asked for, complex input is rejected too: NumPy would
+    drop its imaginary part."""
+    arr = _numbers(values, what)
+    if dtype is float and arr.dtype.kind == "c":
+        raise ValidationError(f"{what} must be real, got complex input")
+    return np.array(arr, dtype, order=order)
 
 
 def _require_stack(values, shapes, what: str) -> np.ndarray:
-    """``values`` as a new finite complex array of one of the 2-D ``shapes``,
-    or a nonempty stack ``(N, ...)`` of arrays of one of them."""
+    """``values`` as a new complex array of one of the 2-D ``shapes``, or a
+    nonempty stack ``(N, ...)`` of arrays of one of them; finiteness is the
+    caller's check."""
     arr = _require_array(values, complex, what)
     if arr.shape[-2:] not in shapes or arr.ndim not in (2, 3) or arr.size == 0:
         raise ValidationError(f"{what} must have shape {' or '.join(map(str, shapes))}, "
                               f"or be a nonempty stack (N, ...) of them; got shape {arr.shape}")
-    return require_finite(arr, what)
+    return arr
 
 
 def _checked(matrix, dim: int) -> np.ndarray:
-    """``matrix`` as a finite, Hermitian complex ``(dim, dim)`` or ``(N, dim, dim)`` array."""
+    """``matrix`` as a finite, Hermitian complex ``(dim, dim)`` or ``(N, dim, dim)``
+    array (:func:`require_hermitian` tests finiteness)."""
     m = _require_stack(matrix, ((dim, dim),), "matrix")
     require_hermitian(m)
     return m

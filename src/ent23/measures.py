@@ -44,7 +44,7 @@ from ._exact import TINY, dot, minor, modulus, norm, square, unit
 from .bases import CoherenceDecomposition, DensityMatrix, decompose, reduced_a
 from .errors import ValidationError
 from .linalg import (_any, _require_array, _require_stack, _Valid, _worst, hermitian_eig2,
-                     hermitian_eig3, hermitian_eigvecs2)
+                     hermitian_eig3, hermitian_eigvecs2, require_finite)
 
 #: Construction tolerance on the squared norm of a pure state.
 STATE_NORM_TOL = 1e-9
@@ -85,7 +85,8 @@ class PureState:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amp = _require_stack(self.amplitudes, SUPPORTED_DIMS, "amplitudes")
+        amp = require_finite(_require_stack(self.amplitudes, SUPPORTED_DIMS, "amplitudes"),
+                             "amplitudes")
         # An entry beyond ~1e154 squares to inf, which the test below rejects.
         with np.errstate(over="ignore"):
             norm_sq = (amp.real ** 2 + amp.imag ** 2).sum(axis=(-2, -1))

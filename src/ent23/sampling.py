@@ -102,7 +102,9 @@ def product_state(phi_a, phi_b) -> PureState:
             f"each with the same optional leading stack axis; got {a.shape}, {b.shape}"
         )
     for vec, name in ((a, "phi_a"), (b, "phi_b")):
-        if np.any(abs(np.linalg.norm(vec, axis=-1) - 1.0) > FACTOR_NORM_TOL):
+        with np.errstate(over="ignore"):  # a norm beyond the float range is inf, and fails
+            norms = np.linalg.norm(vec, axis=-1)
+        if np.any(abs(norms - 1.0) > FACTOR_NORM_TOL):
             raise ValidationError(f"{name} is not normalized")
     return PureState(a[..., :, None] * b[..., None, :])
 
@@ -150,9 +152,11 @@ def rotate_local(psi: PureState, u_a: np.ndarray, u_b: np.ndarray) -> PureState:
     unitaries ``(N, 2, 2)`` and ``(N, d_b, d_b)`` rotate each state with its own."""
     d_b = psi.d_b
     u_a, u_b = _require_array(u_a, complex, "u_a"), _require_array(u_b, complex, "u_b")
-    if u_a.shape[-2:] + u_b.shape[-2:] != (2, 2, d_b, d_b):
-        raise ValidationError(f"a (2, {d_b}) state takes unitaries (2, 2) and ({d_b}, {d_b}); "
-                              f"got shapes {u_a.shape} and {u_b.shape}")
+    # The state and each unitary are one, or a stack; all stacks of one length.
+    stacks = {psi.amplitudes.shape[:-2], u_a.shape[:-2], u_b.shape[:-2]} - {()}
+    if u_a.shape[-2:] + u_b.shape[-2:] != (2, 2, d_b, d_b) or len(stacks) > 1:
+        raise ValidationError(f"a (2, {d_b}) state takes unitaries (2, 2) and ({d_b}, {d_b}), "
+                              f"or stacks of one length; got shapes {u_a.shape} and {u_b.shape}")
     for u, name in ((u_a, "u_a"), (u_b, "u_b")):
         # Entries that overflow (or make inf - inf) fail the test as inf or NaN.
         with np.errstate(over="ignore", invalid="ignore"):

@@ -36,7 +36,7 @@ import sys
 
 import numpy as np
 
-from .errors import StateFileError, UnsupportedDimensionError
+from .errors import StateFileError, UnsupportedDimensionError, ValidationError
 from .measures import SUPPORTED_DIMS, PureState
 
 _NUMBER = (int, float)
@@ -49,19 +49,22 @@ def _require(condition: bool, message: str) -> None:
 
 
 def parse_state_file(text: str | bytes, renormalize: bool = False) -> PureState:
-    """Parse state-file text into a :class:`PureState`.
+    """Parse state-file text into a :class:`PureState`: a ``str``, or bytes
+    (any bytes-like object) decoded as UTF-8.
 
     With ``renormalize`` the amplitudes are scaled to unit norm before
     construction; otherwise a norm violation propagates as the usual
     construction error so that data-preparation bugs stay visible.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise StateFileError(f"state file is not valid UTF-8: {exc}") from exc
     try:
-        payload = json.loads(text)
+        # str(text, "utf-8") decodes any contiguous bytes-like object, and
+        # raises TypeError for anything else.
+        payload = json.loads(text if isinstance(text, str) else str(text, "utf-8"))
+    except TypeError:
+        raise StateFileError("state file must be str or bytes, "
+                             f"got {type(text).__name__}") from None
+    except UnicodeDecodeError as exc:
+        raise StateFileError(f"state file is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise StateFileError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -111,10 +114,8 @@ def parse_state_file(text: str | bytes, renormalize: bool = False) -> PureState:
 
 
 def render_state_file(psi: PureState) -> str:
-    """Serialize a state in the file format; round-trips exactly."""
-    vec = psi.vector()
-    payload = {
-        "dims": [2, psi.d_b],
-        "amplitudes": [[z.real, z.imag] for z in vec],
-    }
-    return json.dumps(payload, indent=2) + "\n"
+    """Serialize one state (not a stack) in the file format; round-trips exactly."""
+    if psi.amplitudes.ndim != 2:
+        raise ValidationError(f"a state file holds one state, got a stack {psi.amplitudes.shape}")
+    pairs = [[z.real, z.imag] for z in psi.vector()]
+    return json.dumps({"dims": [2, psi.d_b], "amplitudes": pairs}, indent=2) + "\n"

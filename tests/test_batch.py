@@ -40,6 +40,7 @@ from ent23 import (
     von_neumann_entropy,
 )
 from ent23._exact import dot
+from ent23.linalg import require_finite
 
 FIELDS = [field.name for field in dataclasses.fields(EntanglementReport)]
 SCHMIDT_GRID = (1.0 / math.sqrt(2.0), 0.75, math.sqrt(3.0) / 2.0, 0.9, 0.97, 1.0)
@@ -389,9 +390,35 @@ def test_unsupported_shapes_are_rejected(shape):
     lambda: binary_entropy("x"),
     lambda: eof_from_concurrence([0.1, [0.2]]),
     lambda: rotate_local(schmidt_pair_state(1.0), [["a", "b"], ["c", "d"]], np.eye(3)),
+    # Numeric text, which NumPy parses where a dtype is asked for.
+    lambda: binary_entropy(b"0.3"),
+    lambda: eof_from_concurrence("0.5"),
+    lambda: PureState([["1", "0", "0"], ["0", "0", "0"]]),
+    lambda: DensityMatrix([["1", "0"], ["0", "0"]]),
+    lambda: CoherenceDecomposition(["0", "0", "0"], np.zeros(8), np.zeros((3, 8))),
+    lambda: hermitian_eig2([["1", "0"], ["0", "1"]]),
+    lambda: product_state(["1", "0"], [1.0, 0.0, 0.0]),
+    lambda: rotate_local(schmidt_pair_state(1.0), [["1", "0"], ["0", "1"]], np.eye(3)),
+    # Python ints beyond the float range, which NumPy holds as objects.
+    lambda: PureState([[10 ** 400, 0, 0], [0, 0, 0]]),
+    lambda: DensityMatrix([[10 ** 400, 0], [0, 0]]),
+    lambda: CoherenceDecomposition([10 ** 400, 0, 0], np.zeros(8), np.zeros((3, 8))),
+    lambda: decompose([[10 ** 400] * 6] * 6),
+    lambda: hermitian_eig2([[10 ** 400, 0], [0, 1]]),
+    lambda: binary_entropy(10 ** 400),
+    lambda: product_state([10 ** 400, 0], [1.0, 0.0, 0.0]),
+    lambda: rotate_local(schmidt_pair_state(1.0), [[-10 ** 400, 0], [0, 1]], np.eye(3)),
+    # None, which NumPy made a NaN where a float was asked for, and a ragged
+    # list reaching require_finite.
+    lambda: eof_from_concurrence(None),
+    lambda: require_finite([[1, 2], [3]]),
 ), ids=("pure-text", "pure-ragged", "density-text", "eig2-ragged", "eig3-text",
         "eigvecs2-text", "product-text", "coherence-text", "entropy-text", "eof-ragged",
-        "rotate-text"))
+        "rotate-text", "entropy-numeric-bytes", "eof-numeric-text", "pure-numeric-text",
+        "density-numeric-text", "coherence-numeric-text", "eig2-numeric-text",
+        "product-numeric-text", "rotate-numeric-text", "pure-big-int", "density-big-int",
+        "coherence-big-int", "decompose-big-int", "eig2-big-int", "entropy-big-int",
+        "product-big-int", "rotate-big-int", "eof-none", "require-finite-ragged"))
 def test_non_numeric_or_ragged_input_is_a_validation_error(call):
     with pytest.raises(ValidationError, match="not a rectangular array of numbers"):
         call()

@@ -4,15 +4,19 @@ Each case was a leak: complex input where reals are expected lost its
 imaginary part (NumPy warned with ``ComplexWarning`` and went on), text
 arrays reached ``require_finite`` and ``require_hermitian`` as a bare
 ``TypeError``, and an overflowing "unitary" printed a ``RuntimeWarning``
-before ``rotate_local`` rejected it.  ``pyproject.toml`` turns every
+before ``rotate_local`` rejected it.  ``require_hermitian`` failed on a
+list and on a matrix that is not square, and passed NaN.  ``rotate_local``
+let mismatched stacks reach ``matmul``, ``render_state_file`` failed on a
+stack, and ``product_state`` warned of an overflow in a factor's norm.  ``pyproject.toml`` turns every
 ``RuntimeWarning``, ``ComplexWarning`` included, into an error.
 """
 
 import numpy as np
 import pytest
 
-from ent23 import (CoherenceDecomposition, ValidationError, binary_entropy,
-                   eof_from_concurrence, rotate_local, schmidt_pair_state)
+from ent23 import (CoherenceDecomposition, RandomStream, ValidationError, binary_entropy,
+                   eof_from_concurrence, haar_random, product_state, render_state_file,
+                   rotate_local, schmidt_pair_state)
 from ent23.linalg import require_finite, require_hermitian
 
 COMPLEX_INPUTS = {
@@ -60,9 +64,9 @@ def test_real_input_of_every_kind_is_still_taken(value):
                                     np.array([[1.0, None], [None, 1.0]]),
                                     np.array([[b"x"]])), ids=("text", "object", "bytes"))
 def test_require_finite_and_require_hermitian_reject_arrays_that_are_not_numbers(matrix):
-    with pytest.raises(ValidationError, match="input is not an array of numbers"):
+    with pytest.raises(ValidationError, match="input is not a rectangular array of numbers"):
         require_finite(matrix)
-    with pytest.raises(ValidationError, match="matrix is not an array of numbers"):
+    with pytest.raises(ValidationError, match="matrix is not a rectangular array of numbers"):
         require_hermitian(matrix)
 
 
@@ -73,3 +77,46 @@ def test_rotate_local_rejects_an_overflowing_unitary_without_a_warning(scale):
         rotate_local(psi, scale * np.eye(2), np.eye(3))
     with pytest.raises(ValidationError, match="u_b is not unitary"):
         rotate_local(psi, np.eye(2), scale * np.full((3, 3), 1.0))
+
+
+def test_require_hermitian_takes_a_list():
+    require_hermitian([[1.0, 0.5j], [-0.5j, 1.0]])
+    with pytest.raises(ValidationError, match="matrix is not Hermitian"):
+        require_hermitian([[1.0, 2.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("matrix, message", (
+    (np.array(1.0), "must be square"),
+    (np.array([1.0]), "must be square"),
+    (np.zeros((2, 3)), "must be square"),
+    (np.zeros((4, 2, 3)), "must be square"),
+    (np.array([[np.nan]]), "contains NaN or Inf"),
+    (np.array([[1.0, np.inf], [np.inf, 1.0]]), "contains NaN or Inf"),
+), ids=("0-d", "1-d", "2x3", "stack-2x3", "nan", "inf"))
+def test_require_hermitian_rejects_matrices_not_square_or_not_finite(matrix, message):
+    with pytest.raises(ValidationError, match=message):
+        require_hermitian(matrix)
+
+
+def test_rotate_local_rejects_stacks_that_do_not_match_the_states():
+    psi = haar_random((2, 3), RandomStream(1), 3)
+    with pytest.raises(ValidationError, match="or stacks of one length"):
+        rotate_local(psi, np.stack([np.eye(2)] * 2), np.eye(3))
+    with pytest.raises(ValidationError, match="or stacks of one length"):
+        rotate_local(psi, np.eye(2), np.stack([np.eye(3)] * 2))
+
+
+def test_render_state_file_rejects_a_stack():
+    with pytest.raises(ValidationError, match="holds one state"):
+        render_state_file(haar_random((2, 3), RandomStream(1), 2))
+
+
+def test_a_numpy_bool_is_not_an_integer():
+    # NumPy before 2.0 takes np.True_ as the index 1, with a DeprecationWarning.
+    with pytest.raises(ValidationError, match="seed must be an integer"):
+        RandomStream(np.True_)
+
+
+def test_product_state_rejects_a_factor_whose_norm_overflows_without_a_warning():
+    with pytest.raises(ValidationError, match="phi_a is not normalized"):
+        product_state(np.full((2, 2), 1e154), np.ones((2, 3)) / np.sqrt(3.0))

@@ -47,6 +47,27 @@ def test_parse_accepts_bytes():
     assert psi.d_b == 3
 
 
+@pytest.mark.parametrize("wrap", (bytearray, memoryview), ids=("bytearray", "memoryview"))
+def test_parse_accepts_bytes_like_input(wrap):
+    data = (STATES_DIR / "bell_pair.json").read_bytes()
+    assert parse_state_file(wrap(data)).amplitudes.tobytes() == \
+        parse_state_file(data).amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("text", (5, None, 1.5, ["{}"]), ids=("int", "none", "float", "list"))
+def test_parse_rejects_input_that_is_neither_str_nor_bytes(text):
+    with pytest.raises(StateFileError, match="must be str or bytes"):
+        parse_state_file(text)
+
+
+@pytest.mark.parametrize("wrap", (bytes, bytearray, memoryview),
+                         ids=("bytes", "bytearray", "memoryview"))
+def test_parse_decodes_every_bytes_like_input_as_utf8(wrap):
+    text = (STATES_DIR / "bell_pair.json").read_text()
+    with pytest.raises(StateFileError, match="not valid UTF-8"):
+        parse_state_file(wrap(text.encode("utf-16")))
+
+
 def test_parse_two_qubit_file():
     payload = {"dims": [2, 2],
                "amplitudes": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}

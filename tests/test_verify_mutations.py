@@ -58,6 +58,20 @@ def codec_scaled(field, factor):
     return patch
 
 
+def report_scaled(field, factor):
+    """Patch the report to carry ``field`` times ``factor``; what is computed
+    from the unpatched value, as the entanglement of formation is from
+    ``c_amplitude``, keeps it."""
+    real = measures.EntanglementReport
+
+    def patch(mp):
+        def report(**fields):
+            fields[field] = fields[field] * factor
+            return real(**fields)
+        mp.setattr(measures, "EntanglementReport", report)
+    return patch
+
+
 def gell_mann_shifted(mp):
     tables = list(verify.GELL_MANN)
     tables[7] = tables[7] + 1e-9 * np.eye(3)
@@ -100,7 +114,8 @@ MUTATIONS = {
     # Every real route clamps its concurrence to [0, 1] before this check
     # sees it, so only a patched route that returns C > 1 (here on the
     # maximally entangled states) can trip it.  Checking the values before
-    # the clamp stays open in the ROADMAP.
+    # the clamp stays open in the ROADMAP.  This row breaks the masked
+    # (Bloch and Schmidt) part; PART_MUTATIONS breaks the amplitude part.
     "concurrence-range": shifted(measures, "concurrence_schmidt", lambda c: 1e-9 * c),
     "eof-vs-entropy-a": shifted(measures, "eof_from_concurrence", lambda e: 1e-9),
     "entropy-a-vs-entropy-b": shifted(verify, "von_neumann_entropy", lambda s: 1e-9),
@@ -119,6 +134,17 @@ MUTATIONS = {
 }
 
 
+# Further mutations, one per other part of a check: test id -> (check, patch).
+PART_MUTATIONS = {
+    # The report's amplitude concurrence, C > 1 on the maximally entangled
+    # states.  Patching the route itself would not do: eof_from_concurrence
+    # rejects its C > 1 + 1e-12 before the check runs.
+    "concurrence-range-amplitudes": (
+        "concurrence-range", report_scaled("c_amplitude", 1.0 + 1e-9)),
+}
+CASES = {**{name: (name, patch) for name, patch in MUTATIONS.items()}, **PART_MUTATIONS}
+
+
 def test_every_check_has_a_mutation():
     assert sorted(MUTATIONS) == sorted(CHECK_NAMES)
 
@@ -127,8 +153,9 @@ def test_unpatched_suite_passes():
     assert run_verification(n_states=60, seed=1).overall
 
 
-@pytest.mark.parametrize("name", CHECK_NAMES)
-def test_mutation_fails_its_check(name, monkeypatch):
-    MUTATIONS[name](monkeypatch)
+@pytest.mark.parametrize("case", CASES)
+def test_mutation_fails_its_check(case, monkeypatch):
+    name, patch = CASES[case]
+    patch(monkeypatch)
     result = run_verification(n_states=60, seed=1).check(name)
     assert not result.passed, result
