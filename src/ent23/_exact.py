@@ -77,22 +77,16 @@ modules use them instead:
   part becomes NaN (coefficients of 1.7e308 give ``inf+nanj``).  A decoder
   in real arithmetic keeps that part finite and loses einsum's bits.
 - The decoder adds terms only for the 21 entries on and above the diagonal
-  and mirrors them to the 15 below.  Every operator is Hermitian, so entry
-  ``(b, a)`` has the nonzero terms of ``(a, b)``, in the same ascending
-  order, with equal real parts and negated imaginary parts.  Rounding is
-  sign-symmetric (``fl(-x) = -fl(x)``), so each nonzero partial sum of
-  ``(b, a)`` is that of ``(a, b)`` with its imaginary part negated; a zero
-  sum is +0 in both, because a sum that starts at +0 never comes out as -0,
-  whatever the signs of its zero terms.  The mirrored imaginary part is
-  therefore ``0.0 - x``: ``-x`` for a nonzero ``x``, and +0 where ``-x``
-  alone would give -0.  It must be taken before the final ``/ 6.0``, which
-  NumPy computes as a product with ``fl(1/6)`` and which underflows a
-  subnormal ``x`` to a zero of ``x``'s sign: ``0.0 - (x / 6)`` gives +0
-  where einsum's ``(-x) / 6`` gives -0 (coefficients of scale 5e-324).
-  The decoder forms ``0.0 - x`` as ``-1 * x + 0.0`` on the float view of
-  the triangle, in one ``take``, one multiply and one add; every other part
-  is multiplied by 1 and gains +0.0, which changes no bit, since no part of
-  the triangle is -0.
+  and mirrors them to the 15 below as ``np.conj(z) + 0.0``.  Every operator
+  is Hermitian, so entry ``(b, a)`` sums the nonzero terms of ``(a, b)`` in
+  the same order, with imaginary parts negated, and rounding is
+  sign-symmetric (``fl(-x) = -fl(x)``); a zero sum is +0 in both, because a
+  sum that starts at +0 never comes out as -0.  Conjugation negates exactly
+  and would make that zero -0; ``+ 0.0`` makes it +0 and changes no other
+  bit (no sum of the triangle is -0).  It comes before the final ``/ 6.0``, which NumPy computes as a
+  product with ``fl(1/6)``: that underflows a subnormal to a zero of its
+  sign, and ``+ 0.0`` after it would give +0 where einsum gives -0
+  (coefficients of scale 5e-324).
 - The stacked ``matmul`` for the qubit reduced matrix matched bit for bit.
 - The 3x3 guard ``big == 0 -> other = 0`` stays apart from the 2x2 form
   ``det / (big + (big == 0))``, whose numerator vanishes with ``big``; the

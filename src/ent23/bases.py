@@ -38,8 +38,8 @@ check reads.  ``_DECODE_U``, ``_DECODE_V`` and ``_DECODE_BETA`` give, for
 each of the 21 entries ``6a + b`` with ``a <= b`` of the rebuilt matrix
 (``_UPPER``), the coefficients ``k`` and the complex weights ``op_k[a, b]``
 of one group.  The rebuilt matrix is Hermitian, so the 15 entries below the
-diagonal are the mirror image of those above, with ``0.0 - x`` for each
-imaginary part ``x``, taken before the final division by 6.  Terms are added
+diagonal are the conjugates of those above, plus +0.0, which makes a zero
+imaginary part +0, taken before the final division by 6.  Terms are added
 in the order ``einsum`` adds them, so every bit matches the dense ``einsum``
 codec (why, why the real parts and the mirror keep them, and why the decoder
 stays complex, in :mod:`ent23._exact`).
@@ -192,17 +192,8 @@ _ENCODE_REAL, _ENCODE_IMAG = (_sum_table(np.stack(parts, axis=-1).reshape(35, 72
 _DECODE_U, _DECODE_V, _DECODE_BETA = (_sum_table(ops.reshape(-1, 36)[:, _UPPER].T)
                                       for ops in (_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS))
 _ID6_UPPER = _ID6.reshape(36)[_UPPER]
-# The (re, im) parts of the decoded matrix, read from those of its upper
-# triangle: entries (a, b) and (b, a) both read slot k of _UPPER, and the
-# imaginary part of (b, a), below the diagonal, is multiplied by -1.
-_slot = np.empty((6, 6), dtype=np.intp)
-_slot[_COLS, _ROWS] = _slot[_ROWS, _COLS] = np.arange(21)
-_MIRROR_PARTS = (2 * _slot[..., None] + (0, 1)).reshape(72)
-_MIRROR_SIGNS = np.ones((6, 6, 2))
-_MIRROR_SIGNS[np.tril_indices(6, -1) + (1,)] = -1.0
-_MIRROR_SIGNS = _MIRROR_SIGNS.reshape(72)
 for _arr in (_QUBIT_OPS, _QUTRIT_OPS, _PAIR_OPS, *_ENCODE_REAL, *_ENCODE_IMAG, *_DECODE_U,
-             *_DECODE_V, *_DECODE_BETA, _ID6_UPPER, _MIRROR_PARTS, _MIRROR_SIGNS):
+             *_DECODE_V, *_DECODE_BETA, _ID6_UPPER):
     _arr.setflags(write=False)
 
 
@@ -359,15 +350,14 @@ def reconstruct(coeffs: CoherenceDecomposition) -> np.ndarray:
     upper += qutrit
     del qutrit  # freed before the next group is gathered
     upper += _gather_sum(beta, _DECODE_BETA)
-    # The entries below the diagonal mirror those above, with 0.0 - x, here
-    # -1 * x + 0.0, for each imaginary part x, before the division (why, in
+    # The entries below the diagonal are the conjugates of those above, + 0.0
+    # in place for a zero imaginary part of +0, before the division (why, in
     # ent23._exact).
-    parts = upper.view(float).take(_MIRROR_PARTS, axis=-1)
-    parts *= _MIRROR_SIGNS
-    parts += 0.0
-    mat = parts.view(complex)
+    mat = np.empty(upper.shape[:-1] + (6, 6), dtype=complex)
+    mat[..., _COLS, _ROWS] = np.add(lower := np.conj(upper), 0.0, out=lower)
+    mat[..., _ROWS, _COLS] = upper
     mat /= 6.0
-    return mat.reshape(mat.shape[:-1] + (6, 6))
+    return mat
 
 
 def _partial_trace(rho_ab: DensityMatrix, subscripts: str, caller: str) -> DensityMatrix:

@@ -41,9 +41,9 @@ mask with :func:`_any`, which reads one matrix's as a NumPy bool.
 
 :func:`hermitian_eigvecs2` divides both candidate null vectors by their own
 norms and picks the longer, which is the one divided by the larger norm, and
-takes the complement ``(-conj(c1), conj(c0))`` from the float view of
-``(c0, c1)`` with one ``take`` and a multiply by signs, which negates
-exactly as ``-`` does; the bits are those of the one-vector arithmetic.
+takes the complement ``(-conj(c1), conj(c0))`` of ``(c0, c1)`` with ``-``
+and ``np.conj``, which negate exactly, zero signs included; the bits are
+those of the one-vector arithmetic.
 """
 
 from __future__ import annotations
@@ -113,13 +113,23 @@ def require_count(value, what: str, minimum: int = 1) -> int:
     return count
 
 
+def require_tolerance(value) -> None:
+    """Raise unless the tolerance ``value`` is a finite real number >= 0
+    (:func:`require_real`)."""
+    if not 0.0 <= require_real(value, "tol") < math.inf:
+        raise ValidationError(f"tol must be finite and >= 0, got {value!r}")
+
+
 def require_hermitian(matrix, tol: float = HERMITICITY_TOL, what: str = "matrix") -> None:
     """Raise unless ``matrix``, or each matrix of a stack ``(N, d, d)``, is a
     finite array of numbers (:func:`require_finite`) that equals its
-    conjugate transpose within ``tol``."""
+    conjugate transpose within ``tol`` (:func:`require_tolerance`)."""
+    require_tolerance(tol)
     m = require_finite(matrix, what)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValidationError(f"{what} must be square, got shape {m.shape}")
+    if m.dtype.kind in "biu":  # an integer difference can wrap
+        m = m.astype(float)
     deviation = float(np.abs(m - np.conj(m.swapaxes(-1, -2))).max(initial=0.0))
     if deviation > tol:
         raise ValidationError(
@@ -136,10 +146,15 @@ def _worst(errors: np.ndarray) -> tuple[int, str]:
 def _require_array(values, dtype, what: str, order: str = "K") -> np.ndarray:
     """``np.array(values, dtype, order=order)`` of numbers (:func:`_numbers`).
     Where reals are asked for, complex input is rejected too: NumPy would
-    drop its imaginary part."""
+    drop its imaginary part.  A long double (dtype char ``g`` or ``G``), the
+    one number wider than ``dtype``, beyond the float range becomes inf
+    without a warning; the caller's finiteness or range test rejects it."""
     arr = _numbers(values, what)
     if dtype is float and arr.dtype.kind == "c":
         raise ValidationError(f"{what} must be real, got complex input")
+    if arr.dtype.char in "gG":
+        with np.errstate(over="ignore"):
+            return np.array(arr, dtype, order=order)
     return np.array(arr, dtype, order=order)
 
 
@@ -238,13 +253,7 @@ def hermitian_eig2(matrix):
 
 
 _EYE2 = np.eye(2, dtype=complex)
-# Each row of the complement is taken from the (re, im) parts of the unit
-# eigenvector (c0, c1) and multiplied by signs: rows (c0, c1) and
-# (-conj(c1), conj(c0)).  Multiplying by +-1 only sets signs, as negation does.
-_COMPLEMENT_PARTS = np.array(((0, 1, 2, 3), (2, 3, 0, 1)))
-_COMPLEMENT_SIGNS = np.array(((1.0, 1.0, 1.0, 1.0), (-1.0, 1.0, 1.0, -1.0)))
-for _arr in (_EYE2, _COMPLEMENT_PARTS, _COMPLEMENT_SIGNS):
-    _arr.setflags(write=False)
+_EYE2.setflags(write=False)
 
 
 class _Valid:
@@ -283,9 +292,9 @@ def hermitian_eigvecs2(matrix) -> tuple[np.ndarray, np.ndarray]:
     norms = norm(cands)
     cands = cands / np.maximum(norms, TINY)[..., None]
     v1 = np.where((norms[..., 0] >= norms[..., 1])[..., None], cands[..., 0, :], cands[..., 1, :])
-    # The eigenvectors as rows, C-ordered: v1 and its orthogonal complement.
-    rows = np.ascontiguousarray(v1).view(float).take(_COMPLEMENT_PARTS, axis=-1)
-    rows = (rows * _COMPLEMENT_SIGNS).view(complex)
+    # The eigenvectors as rows, built transposed: v1 and its orthogonal complement.
+    c0, c1 = v1.T
+    rows = np.array(((c0, -np.conj(c1)), (c1, np.conj(c0)))).T
     w = _unscaled((w1, w2), shift)
     degenerate = w[0] - w[1] <= DEGENERACY_TOL
     if _any(degenerate):

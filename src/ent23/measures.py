@@ -307,13 +307,10 @@ def _schmidt_vectors(a, k, vectors, flush):
     y = np.matmul(a.swapaxes(-1, -2)[..., None, :, :], np.conj(x)[..., None])[..., 0]
     y /= np.maximum(k, TINY)[..., None]
     y1 = unit(y[..., 0, :])
-    if _any(flush):
-        keep = ~flush
-        y2 = np.empty_like(y1)
-        y2[flush] = _orthonormal_extension(y1[flush])
-        y2[keep] = _orthogonal_unit(y[keep, 1, :], y1[keep])
-    else:
-        y2 = _orthogonal_unit(y[..., 1, :], y1)
+    keep = ~flush
+    y2 = np.empty_like(y1)
+    y2[flush] = _orthonormal_extension(y1[flush])
+    y2[keep] = _orthogonal_unit(y[keep, 1, :], y1[keep])
 
     for arr in (x1, x2, y1, y2):
         arr.setflags(write=False)

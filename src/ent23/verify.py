@@ -51,8 +51,7 @@ import numpy as np
 
 from ._exact import dot, modulus, norm, square, unit
 from .bases import reconstruct, reduced_b, GELL_MANN, PAULI
-from .errors import ValidationError
-from .linalg import require_count, require_real
+from .linalg import require_count, require_tolerance
 from .measures import PureState, _measure, concurrence_amplitudes, von_neumann_entropy
 from .rng import RandomStream
 from .sampling import (
@@ -234,8 +233,7 @@ def run_verification(n_states: int = 1000, seed: int = 42,
     bound).  Requires ``n_states >= 1``.
     """
     n_states = require_count(n_states, "n_states")
-    if not 0.0 <= require_real(tol, "tol") < math.inf:
-        raise ValidationError(f"tol must be finite and >= 0, got {tol!r}")
+    require_tolerance(tol)
 
     stream = RandomStream(seed)
     worst = dict.fromkeys(CHECK_NAMES, 0.0)

@@ -4,8 +4,10 @@ One hypothesis test draws, per example, one target and its arguments:
 
 - a callable that the package root imports, or ``linalg.require_finite`` or
   ``linalg.require_hermitian``, with every array and scalar parameter drawn
-  from scalars of every kind, arrays of every dtype and shape, ragged and
-  mixed lists, and valid arrays made extreme, strided, read-only or listed;
+  from scalars of every kind, arrays of every dtype and shape (long doubles
+  too, where they are wider than a double), ragged and mixed lists, and
+  valid arrays made extreme (beyond the float range too), strided,
+  read-only or listed;
 - or ``cli.main``, on fuzzed argv or on a fuzzed state file written under
   ``tmp_path``.
 
@@ -79,8 +81,12 @@ SHAPES = st.one_of(
                      (3,), (8,), (3, 8), (2, 3, 8), (0, 2, 3), (0, 6, 6)]),
     hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=3),
 )
+# Long doubles, where they are wider than a double.
+LONG_DOUBLES = ([np.longdouble, np.clongdouble]
+                if np.finfo(np.longdouble).max > np.finfo(float).max else [])
 NUMERIC_DTYPES = st.sampled_from([bool, np.int8, np.int64, np.uint8, np.uint64, np.float16,
-                                  np.float32, np.float64, np.complex64, np.complex128])
+                                  np.float32, np.float64, np.complex64, np.complex128,
+                                  *LONG_DOUBLES])
 OTHER_DTYPES = st.sampled_from(["U2", "S2", "M8[s]", "m8[s]"])
 
 
@@ -104,12 +110,17 @@ def _variant(array, how, factor):
             array = array.astype(np.result_type(array, factor))
             array.flat[0] = factor
             return array
+        if how == "beyond-double":  # one entry a long double beyond the float range
+            array = array.astype(np.result_type(array, np.longdouble))
+            array.flat[0] = np.longdouble("1e4000")
+            return array
         return array.tolist()
 
 
 VARIANTS = st.builds(_variant, st.sampled_from(VALID),
                      st.sampled_from(["as-is", "scaled", "strided", "read-only", "fortran",
-                                      "complex64", "entry", "listed"]),
+                                      "complex64", "entry", "listed"]
+                                     + (["beyond-double"] if LONG_DOUBLES else [])),
                      st.one_of(st.floats(), st.complex_numbers(),
                                st.sampled_from([1.7e308, 1e300, 1e-300])))
 ARRAYS = st.one_of(

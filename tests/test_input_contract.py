@@ -9,14 +9,18 @@ list and on a matrix that is not square, and passed NaN.  ``rotate_local``
 let mismatched stacks reach ``matmul``, ``render_state_file`` failed on a
 stack, and ``product_state`` warned of an overflow in a factor's norm.  ``pyproject.toml`` turns every
 ``RuntimeWarning``, ``ComplexWarning`` included, into an error.
+``require_hermitian`` passed an integer matrix whose difference wraps, and
+took a NaN or infinite ``tol``; a long double beyond the float range warned
+of an overflow in its cast before it was rejected.
 """
 
 import numpy as np
 import pytest
 
-from ent23 import (CoherenceDecomposition, RandomStream, ValidationError, binary_entropy,
-                   eof_from_concurrence, haar_random, product_state, render_state_file,
-                   rotate_local, schmidt_pair_state)
+from ent23 import (CoherenceDecomposition, DensityMatrix, PureState, RandomStream,
+                   ValidationError, binary_entropy, eof_from_concurrence, haar_random,
+                   hermitian_eig2, product_state, render_state_file, rotate_local,
+                   schmidt_pair_state)
 from ent23.linalg import require_finite, require_hermitian
 
 COMPLEX_INPUTS = {
@@ -120,3 +124,44 @@ def test_a_numpy_bool_is_not_an_integer():
 def test_product_state_rejects_a_factor_whose_norm_overflows_without_a_warning():
     with pytest.raises(ValidationError, match="phi_a is not normalized"):
         product_state(np.full((2, 2), 1e154), np.ones((2, 3)) / np.sqrt(3.0))
+
+
+@pytest.mark.parametrize("matrix", (np.array([[0, -2**63], [0, 0]]),
+                                    np.array([[0, -128], [0, 0]], np.int8)),
+                         ids=("int64", "int8"))
+def test_require_hermitian_rejects_an_integer_matrix_whose_difference_wraps(matrix):
+    with pytest.raises(ValidationError, match="matrix is not Hermitian"):
+        require_hermitian(matrix)
+
+
+@pytest.mark.parametrize("tol, message", (
+    (float("nan"), "tol must be finite and >= 0, got nan"),
+    (float("inf"), "tol must be finite and >= 0, got inf"),
+    (-1e-12, "tol must be finite and >= 0, got -1e-12"),
+    ("1e-12", "tol must be a real number"),
+    (True, "tol must be a real number"),
+), ids=("nan", "inf", "negative", "text", "bool"))
+def test_require_hermitian_rejects_a_tolerance_that_is_not_finite_and_nonnegative(tol, message):
+    for matrix in (np.eye(2), np.array([[1.0, 2.0], [0.0, 1.0]])):
+        with pytest.raises(ValidationError, match=message):
+            require_hermitian(matrix, tol)
+
+
+BEYOND_DOUBLE = np.longdouble("1e4000")
+
+
+@pytest.mark.skipif(not np.isfinite(BEYOND_DOUBLE), reason="long double is a double here")
+@pytest.mark.parametrize("call, message", (
+    (lambda x: PureState(np.array([[x, 0, 0], [0, 0, 0]])), "amplitudes contains NaN or Inf"),
+    (lambda x: PureState(np.array([[1j * x, 0], [0, 0]], np.clongdouble)),
+     "amplitudes contains NaN or Inf"),
+    (lambda x: DensityMatrix(np.array([[x, 0], [0, 0]])), "density matrix contains NaN or Inf"),
+    (lambda x: hermitian_eig2(np.array([[x, 0], [0, 0]])), "matrix contains NaN or Inf"),
+    (lambda x: CoherenceDecomposition(np.array([x, 0, 0]), np.zeros(8), np.zeros((3, 8))),
+     "u contains NaN or Inf"),
+    (lambda x: binary_entropy(np.array([x])), "argument inf is outside"),
+), ids=("PureState", "PureState-clongdouble", "DensityMatrix", "hermitian_eig2",
+        "CoherenceDecomposition", "binary_entropy"))
+def test_a_long_double_beyond_the_float_range_is_rejected_without_a_warning(call, message):
+    with pytest.raises(ValidationError, match=message):
+        call(BEYOND_DOUBLE)

@@ -107,6 +107,31 @@ def test_eigvecs2_reconstructs():
             assert np.max(np.abs(m @ v - values[k] * v)) < 1e-12
 
 
+# Nondegenerate 2x2 matrices whose eigenvector parts include zeros of both signs.
+COMPLEMENT_FAMILIES = {
+    "real-symmetric": [[[2.0, 1.0], [1.0, -1.0]], [[0.5, -0.3], [-0.3, 2.0]],
+                       [[-1.0, 0.25], [0.25, 0.0]]],
+    "diagonal": [[[3.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [0.0, 3.0]], [[-2.0, 0.0], [0.0, 0.5]]],
+    "imaginary-off-diagonal": [[[1.0, 2j], [-2j, -1.0]], [[0.2, -0.5j], [0.5j, 0.7]],
+                               [[0.0, 1j], [-1j, 0.0]]],
+}
+
+
+@pytest.mark.parametrize("family", sorted(COMPLEMENT_FAMILIES))
+@pytest.mark.parametrize("stacked", (False, True), ids=("one", "stack"))
+def test_eigvecs2_complement_negates_and_conjugates_exactly(family, stacked):
+    matrices = np.array(COMPLEMENT_FAMILIES[family], dtype=complex)
+    _, vectors = hermitian_eigvecs2(matrices if stacked else matrices[0])
+    (c0, d0), (c1, d1) = np.moveaxis(vectors, (-2, -1), (0, 1))
+    # (d0, d1) is (-conj(c1), conj(c0)), part by part, zero signs included.
+    expected = np.stack([-c1.real, c1.imag, c0.real, -c0.imag])
+    assert np.stack([d0.real, d0.imag, d1.real, d1.imag]).tobytes() == expected.tobytes()
+    if stacked:  # each family reaches zeros of both signs
+        parts = np.stack([vectors.real, vectors.imag])
+        signs = np.signbit(parts[parts == 0.0])
+        assert signs.any() and not signs.all()
+
+
 def test_eigvecs2_degenerate_returns_standard_basis():
     values, vectors = hermitian_eigvecs2(np.eye(2) / 2)
     assert np.array_equal(vectors, np.eye(2))
