@@ -22,8 +22,13 @@ modules use them instead:
   stacked ``matmul`` of a row by a column makes that same BLAS call per
   vector, with the same strides, and matched on all (:func:`dot`,
   :func:`norm`).  The strides matter: from a Fortran-ordered stack the
-  stacked dot gave other bits, so stacks are kept in C order, and
-  :func:`norm` takes a C-ordered copy of whatever it is given.
+  stacked dot gave other bits.  So the layout is decided once, at the input
+  gate: ``linalg._require_array`` returns a C-ordered copy of every array a
+  caller passes, and every stack built inside the package is C-ordered or a
+  row slice of one.  Two copies remain: :func:`norm` copies its argument,
+  because ``hermitian_eigvecs2`` passes it a transposed, Fortran-ordered
+  candidate array, and ``bases.decompose`` copies its coefficients, slices
+  of one trace array, so that they do not keep the whole array alive.
 - Some of NumPy's SIMD math loops differ from libm (glibc) in the last bit,
   and which ones depends on the level NumPy dispatches to.  Mismatches on
   1M inputs each, NumPy 2.4.6 on AVX-512, levels set with

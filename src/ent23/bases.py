@@ -242,7 +242,8 @@ class DensityMatrix:
         else:
             mat = _require_stack(self.matrix, ((2, 2), (3, 3), (6, 6)), "density matrix")
             require_hermitian(mat, DENSITY_HERMITICITY_TOL, "density matrix")
-            trace = mat.trace(axis1=-2, axis2=-1)
+            with np.errstate(over="ignore"):  # an inf trace fails the test below
+                trace = mat.trace(axis1=-2, axis2=-1)
             error = abs(trace - 1.0)
             if error.max() > DENSITY_TRACE_TOL:
                 index, where = _worst(error)
@@ -279,8 +280,7 @@ class CoherenceDecomposition:
             # decompose's output from a DensityMatrix (module notes).
             arrays = (self.u.array, self.v.array, self.beta.array)
         else:
-            # C-ordered copies: the bits of a stacked dot depend on the layout.
-            u, v, beta = (require_finite(_require_array(x, float, name, "C"), name)
+            u, v, beta = (require_finite(_require_array(x, float, name), name)
                           for x, name in ((self.u, "u"), (self.v, "v"), (self.beta, "beta")))
             batch = u.shape[:-1]
             if (u.shape[-1:] != (3,) or v.shape != batch + (8,)
@@ -303,6 +303,21 @@ def _as_matrix6(rho) -> np.ndarray:
     return require_finite(_require_stack(rho, ((6, 6),), "matrix"), "matrix")
 
 
+def _coefficients(parts: np.ndarray, check_imag: bool):
+    """``(u, v, beta)`` from the float views ``parts`` of 6x6 matrices, after
+    the :data:`TRACE_IMAG_TOL` check if ``check_imag``."""
+    if check_imag:
+        worst_imag = float(np.max(np.abs(_gather_sum(parts, _ENCODE_IMAG))))
+        if worst_imag > TRACE_IMAG_TOL:
+            raise ConsistencyError(
+                f"coefficient traces have imaginary part {worst_imag:.3e}; "
+                "input matrix is not Hermitian"
+            )
+    traces = _gather_sum(parts, _ENCODE_REAL)
+    return (traces[..., :3], (_SQRT3 / 2.0) * traces[..., 3:11],
+            1.5 * traces[..., 11:].reshape(traces.shape[:-1] + (3, 8)))
+
+
 def decompose(rho) -> CoherenceDecomposition:
     """Extract the coherence-vector coefficients of a 6x6 matrix.
 
@@ -314,23 +329,20 @@ def decompose(rho) -> CoherenceDecomposition:
     Hermitian and raises :class:`ConsistencyError`.
     """
     mat = _as_matrix6(rho)
-    # (re, im) of each entry; the float view needs a contiguous last axis.
-    parts = np.ascontiguousarray(mat.reshape(mat.shape[:-2] + (36,))).view(float)
-    if not (isinstance(rho, DensityMatrix) and rho._valid):
-        # A projector built valid skips this check (module notes).
-        worst_imag = float(np.max(np.abs(_gather_sum(parts, _ENCODE_IMAG))))
-        if worst_imag > TRACE_IMAG_TOL:
-            raise ConsistencyError(
-                f"coefficient traces have imaginary part {worst_imag:.3e}; "
-                "input matrix is not Hermitian"
-            )
-    traces = _gather_sum(parts, _ENCODE_REAL)
-    coeffs = (traces[..., :3], (_SQRT3 / 2.0) * traces[..., 3:11],
-              1.5 * traces[..., 11:].reshape(traces.shape[:-1] + (3, 8)))
-    if isinstance(rho, DensityMatrix):
-        # Finite by construction (module notes); C order as the checks make it.
-        coeffs = (_Valid(np.ascontiguousarray(arr)) for arr in coeffs)
-    return CoherenceDecomposition(*coeffs)
+    # (re, im) of each entry: a C-ordered matrix (ent23._exact) reshapes to a
+    # view, whose float view needs no copy.
+    parts = mat.reshape(mat.shape[:-2] + (36,)).view(float)
+    if not isinstance(rho, DensityMatrix):
+        # Raw entries near the float limit make sums and products inf or NaN,
+        # which the checks reject; a DensityMatrix's entries are at most ~1.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return CoherenceDecomposition(*_coefficients(parts, True))
+    # A projector built valid skips the imaginary-part check, and its
+    # coefficients are finite by construction (module notes).  They are
+    # copied: a slice of the traces would keep the whole (N, 35) array alive
+    # (ent23._exact).
+    coeffs = _coefficients(parts, not rho._valid)
+    return CoherenceDecomposition(*(_Valid(np.ascontiguousarray(arr)) for arr in coeffs))
 
 
 def reconstruct(coeffs: CoherenceDecomposition) -> np.ndarray:

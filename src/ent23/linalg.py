@@ -130,7 +130,9 @@ def require_hermitian(matrix, tol: float = HERMITICITY_TOL, what: str = "matrix"
         raise ValidationError(f"{what} must be square, got shape {m.shape}")
     if m.dtype.kind in "biu":  # an integer difference can wrap
         m = m.astype(float)
-    deviation = float(np.abs(m - np.conj(m.swapaxes(-1, -2))).max(initial=0.0))
+    # A difference beyond the float range is inf, which the test below rejects.
+    with np.errstate(over="ignore"):
+        deviation = float(np.abs(m - np.conj(m.swapaxes(-1, -2))).max(initial=0.0))
     if deviation > tol:
         raise ValidationError(
             f"{what} is not Hermitian: max deviation {deviation:.3e} exceeds {tol:g}"
@@ -143,8 +145,10 @@ def _worst(errors: np.ndarray) -> tuple[int, str]:
     return index, (f" (item {index} of the stack)" if errors.ndim else "")
 
 
-def _require_array(values, dtype, what: str, order: str = "K") -> np.ndarray:
-    """``np.array(values, dtype, order=order)`` of numbers (:func:`_numbers`).
+def _require_array(values, dtype, what: str) -> np.ndarray:
+    """``np.array(values, dtype, order="C")`` of numbers (:func:`_numbers`):
+    a new C-ordered array whatever the input's layout, so that no kernel's
+    bits depend on how a caller's array was stored (:mod:`ent23._exact`).
     Where reals are asked for, complex input is rejected too: NumPy would
     drop its imaginary part.  A long double (dtype char ``g`` or ``G``), the
     one number wider than ``dtype``, beyond the float range becomes inf
@@ -154,8 +158,8 @@ def _require_array(values, dtype, what: str, order: str = "K") -> np.ndarray:
         raise ValidationError(f"{what} must be real, got complex input")
     if arr.dtype.char in "gG":
         with np.errstate(over="ignore"):
-            return np.array(arr, dtype, order=order)
-    return np.array(arr, dtype, order=order)
+            return np.array(arr, dtype, order="C")
+    return np.array(arr, dtype, order="C")
 
 
 def _require_stack(values, shapes, what: str) -> np.ndarray:
@@ -189,7 +193,8 @@ _SCALE_LIMIT = 2.0 ** 500
 
 
 def _scaled(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | int]:
-    """``(m * 2**-shift, shift)`` for a checked ``(..., d, d)`` array.
+    """``(m * 2**-shift, shift)`` for a checked ``(..., d, d)`` array, which
+    :func:`_checked` makes C-ordered, so its float view needs no copy.
 
     Squares of entries above ~1e154 overflow, and those of nonzero entries
     below ~1e-154 underflow.  Those matrices, and only they, are scaled by
@@ -198,7 +203,7 @@ def _scaled(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | int]:
     its bits (``shift`` is the integer 0 when no matrix is scaled).
     Eigenvalues of the scaled matrix are scaled back by :func:`_unscaled`.
     """
-    parts = np.ascontiguousarray(m).view(float)
+    parts = m.view(float)
     largest = np.abs(parts).max(axis=(-2, -1))
     outside = (largest > _SCALE_LIMIT) | (largest < 1.0 / _SCALE_LIMIT)
     if not _any(outside):

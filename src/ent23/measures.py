@@ -30,6 +30,33 @@ element is bit-identical to the one-state call, which is what keeps
 ``ent23 sample`` output byte-identical while it measures and writes its rows
 a chunk at a time.  :mod:`ent23._exact` lists the NumPy calls avoided for
 that.
+
+Accuracy against the exact value.  For float amplitudes ``C**2 = 4 sum
+|minor|**2 / |a|**4`` is a rational number, and every report field follows
+from it in closed form (``tests/test_oracle.py`` computes it in
+``fractions``, with roots and logarithms at 60 digits).  Each field's error
+is bounded by ``m eps + kappa eps / C`` (eps = 2.2e-16, C the exact
+concurrence).  Measured maxima on 300 seed-42 Haar states per ``d_b``, 20
+rotated Bell states, the Schmidt grid and 40 locally rotated near-product
+states with ``k2 = 1e-2 ... 1e-9``, for ``d_b`` = 2 and 3:
+
+================================  ====  =====  ===============================
+field                             m     kappa  measured
+================================  ====  =====  ===============================
+c_amplitude, u_norm, v_norm, k1   8     0      3.5 eps (c_amplitude, Bell)
+c_bloch, c_schmidt, k2            8     4      1.8 eps/C (near product);
+                                               21 eps at C = 0.025 (c_bloch)
+eof, vn_entropy_a                 64    0      16 eps (eof, near product)
+================================  ====  =====  ===============================
+
+The eps/C law: ``sqrt(1 - |u|**2)`` and ``sqrt(lambda_2)`` take the root of
+a quantity of size ~C**2 that carries an absolute error of ~eps.  A ``k2``
+flushed at :data:`SCHMIDT_ZERO_TOL` is off by ``k2`` itself, and
+``c_schmidt`` by C; the law covers that up to ``k2`` ~1.5e-8, which holds
+the decades 1e-8 and 1e-9 of the near-product family, but not the rest of
+the flush window (up to 45 eps/C at ``k2 = 5e-8``).  An entropy term
+``-q log2 q`` carries ~``eps log2(1/q) / 2``, at most ~30 eps for the
+family's smallest ``q = 1e-18``.
 """
 
 from __future__ import annotations

@@ -21,11 +21,18 @@ from ent23 import (
     decompose,
     full_report,
     haar_random,
+    hermitian_eig2,
+    hermitian_eig3,
+    hermitian_eigvecs2,
     product_state,
+    random_unitary,
     reconstruct,
     reduced_a,
     reduced_b,
+    rotate_local,
     run_verification,
+    schmidt_decompose,
+    von_neumann_entropy,
 )
 from ent23.bases import (_PAIR_OPS, _QUBIT_OPS, _QUTRIT_OPS, DENSITY_EIGENVALUE_FLOOR,
                          TRACE_IMAG_TOL)
@@ -305,8 +312,8 @@ def hermitian_raw(rng, n, scale):
     return mats
 
 
-# Layouts of a raw stack; the float view that decompose reads needs a
-# contiguous last axis, which the last one lacks even after reshaping.
+# Layouts of a raw stack; decompose copies each into C order where it
+# enters, so every one must give the dense codec's outcome on the same values.
 RAW_LAYOUTS = {
     "C": lambda mats: mats,
     "Fortran": np.asfortranarray,
@@ -356,6 +363,69 @@ def test_coherence_bits_do_not_depend_on_memory_layout():
     assert same_bits(concurrence_bloch(fortran), concurrence_bloch(coeffs))
     assert same_bits(reconstruct(fortran), reconstruct(coeffs))
     assert same_bits(dot(fortran.v, fortran.v), dot(coeffs.v, coeffs.v))
+
+
+def strided(x):
+    """``x`` as every second entry of a last axis twice as long."""
+    big = np.zeros(x.shape[:-1] + (2 * x.shape[-1],), x.dtype)
+    big[..., ::2] = x
+    return big[..., ::2]
+
+
+# Other layouts of the same values, stack axis first.
+LAYOUTS = {
+    "Fortran": np.asfortranarray,
+    "strided": strided,
+    "reversed": lambda x: np.ascontiguousarray(x[::-1])[::-1],
+}
+
+
+def layout_outputs(arrange):
+    """Every public output of the layout test, by name, from C-ordered stacks
+    passed through ``arrange``."""
+    out = {}
+    stream = RandomStream(7)
+    for d_b in (2, 3):
+        amps = np.concatenate([haar_random((2, d_b), stream, n=500).amplitudes,
+                               [psi.amplitudes for psi in family_stack(d_b)]])
+        psi = PureState(arrange(amps))
+        out.update({(d_b, name): value for name, value in full_report(psi).as_dict().items()})
+        form = schmidt_decompose(psi)
+        for name in ("k1", "k2", "x1", "x2", "y1", "y2"):
+            out[d_b, name] = getattr(form, name)
+        unitaries = random_unitary(2, stream, len(amps)), random_unitary(d_b, stream, len(amps))
+        c_ordered = PureState(amps)
+        out[d_b, "rotate_local"] = rotate_local(c_ordered, *map(arrange, unitaries)).amplitudes
+
+        rho = DensityMatrix(arrange(c_ordered.density().matrix))
+        coeffs = decompose(rho)
+        out.update({(d_b, name): getattr(coeffs, name) for name in ("u", "v", "beta")})
+        for reduce in (reduced_a, reduced_b):
+            reduced = reduce(rho)
+            out[d_b, reduce.__name__] = reduced.matrix
+            out[d_b, reduce.__name__, "entropy"] = von_neumann_entropy(reduced)
+            # Exactly Hermitian, so that scaling by a power of two keeps it
+            # Hermitian; the scaled copies take the solvers' scaled path.
+            m = 0.5 * (reduced.matrix + np.conj(reduced.matrix).swapaxes(-1, -2))
+            m = np.concatenate([m, m * 2.0 ** 600, m * 2.0 ** -600])
+            if reduced.dim == 2:
+                out[d_b, "eig2"] = hermitian_eig2(arrange(m))
+                out[d_b, "eigvecs2", "values"], out[d_b, "eigvecs2"] = hermitian_eigvecs2(
+                    arrange(m))
+            else:
+                out[d_b, "eig3"] = hermitian_eig3(arrange(m))
+    return out
+
+
+@pytest.mark.parametrize("layout", sorted(LAYOUTS))
+def test_bits_do_not_depend_on_memory_layout(layout):
+    # Every array input is copied into C order where it enters, so a
+    # Fortran-ordered, strided or reversed stack gives the C stack's bits.
+    expected = layout_outputs(lambda x: x)
+    got = layout_outputs(LAYOUTS[layout])
+    assert got.keys() == expected.keys()
+    for key, value in expected.items():
+        assert same_bits(got[key], value), key
 
 
 def test_reduced_matrices_match_coefficient_form():

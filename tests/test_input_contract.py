@@ -11,16 +11,19 @@ stack, and ``product_state`` warned of an overflow in a factor's norm.  ``pyproj
 ``RuntimeWarning``, ``ComplexWarning`` included, into an error.
 ``require_hermitian`` passed an integer matrix whose difference wraps, and
 took a NaN or infinite ``tol``; a long double beyond the float range warned
-of an overflow in its cast before it was rejected.
+of an overflow in its cast before it was rejected.  Entries near the float
+limit warned of an overflow in ``require_hermitian``'s deviation, in
+``DensityMatrix``'s trace and in a raw ``decompose``'s sums before they were
+rejected.
 """
 
 import numpy as np
 import pytest
 
-from ent23 import (CoherenceDecomposition, DensityMatrix, PureState, RandomStream,
-                   ValidationError, binary_entropy, eof_from_concurrence, haar_random,
-                   hermitian_eig2, product_state, render_state_file, rotate_local,
-                   schmidt_pair_state)
+from ent23 import (CoherenceDecomposition, ConsistencyError, DensityMatrix, PureState,
+                   RandomStream, ValidationError, binary_entropy, decompose,
+                   eof_from_concurrence, haar_random, hermitian_eig2, product_state,
+                   render_state_file, rotate_local, schmidt_pair_state)
 from ent23.linalg import require_finite, require_hermitian
 
 COMPLEX_INPUTS = {
@@ -165,3 +168,22 @@ BEYOND_DOUBLE = np.longdouble("1e4000")
 def test_a_long_double_beyond_the_float_range_is_rejected_without_a_warning(call, message):
     with pytest.raises(ValidationError, match=message):
         call(BEYOND_DOUBLE)
+
+
+NEAR_THE_LIMIT = np.array([[0.0, 1.7e308], [-1.7e308, 0.0]])
+
+
+@pytest.mark.parametrize("call, error, message", (
+    (lambda: require_hermitian(NEAR_THE_LIMIT), ValidationError,
+     "matrix is not Hermitian: max deviation inf exceeds 1e-12"),
+    (lambda: hermitian_eig2(NEAR_THE_LIMIT), ValidationError,
+     "matrix is not Hermitian: max deviation inf exceeds 1e-12"),
+    (lambda: DensityMatrix(np.diag([1.7e308, 1.7e308])), ValidationError,
+     "density matrix trace is inf, expected 1"),
+    (lambda: decompose(np.full((6, 6), 1e308)), ConsistencyError,
+     "coefficient traces have imaginary part inf; input matrix is not Hermitian"),
+), ids=("require_hermitian", "hermitian_eig2", "DensityMatrix", "decompose"))
+def test_entries_near_the_float_limit_are_rejected_without_a_warning(call, error, message):
+    with pytest.raises(error) as raised:
+        call()
+    assert str(raised.value) == message
