@@ -352,23 +352,26 @@ def reconstruct(coeffs: CoherenceDecomposition) -> np.ndarray:
     The result is Hermitian with unit trace by construction.  Positivity is
     not checked: arbitrary coefficients need not describe a physical state.
     Wrap the result in :class:`DensityMatrix` when a validated state is needed.
+    Coefficients near the float limit give einsum's inf and NaN entries,
+    without a warning.
     """
     beta = coeffs.beta.reshape(coeffs.beta.shape[:-2] + (24,))
-    # In place, with einsum's operands in its order: (I + U) + sqrt(3) V + B.
-    upper = _gather_sum(coeffs.u, _DECODE_U)
-    upper += _ID6_UPPER
-    qutrit = _gather_sum(coeffs.v, _DECODE_V)
-    qutrit *= _SQRT3
-    upper += qutrit
-    del qutrit  # freed before the next group is gathered
-    upper += _gather_sum(beta, _DECODE_BETA)
-    # The entries below the diagonal are the conjugates of those above, + 0.0
-    # in place for a zero imaginary part of +0, before the division (why, in
-    # ent23._exact).
-    mat = np.empty(upper.shape[:-1] + (6, 6), dtype=complex)
-    mat[..., _COLS, _ROWS] = np.add(lower := np.conj(upper), 0.0, out=lower)
-    mat[..., _ROWS, _COLS] = upper
-    mat /= 6.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # In place, with einsum's operands in its order: (I + U) + sqrt(3) V + B.
+        upper = _gather_sum(coeffs.u, _DECODE_U)
+        upper += _ID6_UPPER
+        qutrit = _gather_sum(coeffs.v, _DECODE_V)
+        qutrit *= _SQRT3
+        upper += qutrit
+        del qutrit  # freed before the next group is gathered
+        upper += _gather_sum(beta, _DECODE_BETA)
+        # The entries below the diagonal are the conjugates of those above,
+        # + 0.0 in place for a zero imaginary part of +0, before the division
+        # (why, in ent23._exact).
+        mat = np.empty(upper.shape[:-1] + (6, 6), dtype=complex)
+        mat[..., _COLS, _ROWS] = np.add(lower := np.conj(upper), 0.0, out=lower)
+        mat[..., _ROWS, _COLS] = upper
+        mat /= 6.0
     return mat
 
 

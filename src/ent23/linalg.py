@@ -215,8 +215,12 @@ def _scaled(m: np.ndarray) -> tuple[np.ndarray, np.ndarray | int]:
 def _unscaled(w, shift: np.ndarray | int) -> np.ndarray:
     """``np.ldexp(w, shift)``: ``w`` as an array, scaled back by :func:`_scaled`'s
     ``shift``.  When nothing was scaled (``shift`` is the int 0) that is the
-    identity on every float, so ``w`` is only made an array."""
-    return np.asarray(w) if type(shift) is int else np.ldexp(w, shift)
+    identity on every float, so ``w`` is only made an array.  An eigenvalue
+    scaled back beyond the float range is inf, without a warning."""
+    if type(shift) is int:
+        return np.asarray(w)
+    with np.errstate(over="ignore"):
+        return np.ldexp(w, shift)
 
 
 def _eig2(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -301,7 +305,11 @@ def hermitian_eigvecs2(matrix) -> tuple[np.ndarray, np.ndarray]:
     c0, c1 = v1.T
     rows = np.array(((c0, -np.conj(c1)), (c1, np.conj(c0)))).T
     w = _unscaled((w1, w2), shift)
-    degenerate = w[0] - w[1] <= DEGENERACY_TOL
+    if type(shift) is int:
+        degenerate = w[0] - w[1] <= DEGENERACY_TOL
+    else:  # scaled back, a finite spectrum can be wider than the float range
+        with np.errstate(over="ignore"):
+            degenerate = w[0] - w[1] <= DEGENERACY_TOL
     if _any(degenerate):
         rows[degenerate] = _EYE2
     return w.T, rows.swapaxes(-1, -2)

@@ -18,7 +18,8 @@ Every family is drawn from the seed's stream in a fixed order, and each check
 computes an error per state and keeps the largest.  The random ensemble, and
 the random states and local unitaries of the rotation pairs, are drawn and
 checked in chunks of :data:`ent23.sampling.CHUNK_STATES` states or pairs, so
-memory does not grow with ``n_states``.  The three fixed families (5 rotated
+memory grows with ``n_states`` only by the 8 bytes of each random state's
+qubit purity, kept until they are summed.  The three fixed families (5 rotated
 maximally entangled states, the 6-point two-term grid and 50 product states)
 are checked together as one 61-state stack, with a per-state mask; the
 family-only checks read their slices of its report.  Neither the chunk size
@@ -38,11 +39,38 @@ two-term family -- out of those comparisons (a row's ``amplified`` errors);
 they are checked through the robust routes only (amplitude concurrence,
 coherence-vector norms, codec round trips).  Random states never come near
 the boundary, and the other two-term states evaluate exactly.
+
+Units and processes.  A run is a list of units, in stream order: each chunk
+of random states, the fixed-family stack and each chunk of rotation pairs.
+A stream word depends on nothing but its counter (:mod:`ent23.rng`), so each
+unit starts at a counter computed from the draws before it -- 24 words
+(8 d_b) per random state, 1260 for the families, 76 per rotation pair --
+and no unit draws its way to its start.  The units are split by state count
+between the calling process and up to one child per further CPU
+(``os.sched_getaffinity``, else ``os.cpu_count``); the caller keeps the
+first random chunk and the families.  Each child is forked at the call, so
+it holds the caller's state, monkeypatches included, and no process
+outlives the call.  A child checks its share, sends its largest errors, its
+chunks' purities and norm gaps up one pipe, and leaves through
+``os._exit``; an exception it raises is raised again in the caller, with its
+type and message.  The caller reads each pipe to its end before it reaps
+the child, and kills and reaps every child when its own share raises.  It
+merges the maxima with ``max``, a NaN sticking as in :func:`_fold`, and adds
+the purities left to right in state order, so the outcome has the same bits
+on any number of CPUs.  Where ``os.fork`` is missing, or another thread runs
+(a forked child would inherit locks held by it), the caller checks every
+unit itself.  The children's resources are not the caller's:
+``getrusage(RUSAGE_SELF)``, and so the benchmark's ``peak_rss_mb``, leaves
+them out, and a tracer installed in the caller records only its own share.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import os
+import pickle
+import threading
 from collections import namedtuple
 from dataclasses import dataclass, field
 from types import SimpleNamespace
@@ -59,7 +87,7 @@ from .sampling import (
     _haar_grids,
     _haar_unitaries,
     chunk_sizes,
-    haar_chunks,
+    haar_random,
     product_state,
     random_unitary,
     rotate_local,
@@ -197,17 +225,21 @@ _CHECKS = (
 CHECK_NAMES = tuple(check.name for check in _CHECKS)
 
 
+def _keep(worst: dict[str, float], name: str, largest: float) -> None:
+    """Keep the larger of ``worst[name]`` and ``largest``; a NaN sticks, so its
+    check fails."""
+    worst[name] = largest if math.isnan(largest) else max(worst[name], largest)
+
+
 def _fold(worst: dict[str, float], stack: str, m) -> None:
     """Fold the largest per-state error of each check that reads ``stack``,
-    from its measures ``m``, into ``worst``; a NaN error sticks, so its check
-    fails."""
+    from its measures ``m``, into ``worst``."""
     for check in _CHECKS:
         if check.stack == stack:
             errors = check.error(m)
             if check.amplified is not None:
                 errors = np.maximum(errors, np.where(m.amplified, check.amplified(m), 0.0))
-            largest = float(np.max(errors))
-            worst[check.name] = largest if math.isnan(largest) else max(worst[check.name], largest)
+            _keep(worst, check.name, float(np.max(errors)))
 
 
 def _check_stack(psi: PureState, worst: dict[str, float], amplified):
@@ -224,36 +256,23 @@ def _check_stack(psi: PureState, worst: dict[str, float], amplified):
     return report, np.einsum("nij,nji->n", rho_a.matrix, rho_a.matrix).real
 
 
-def run_verification(n_states: int = 1000, seed: int = 42,
-                     tol: float = 1e-10) -> VerifyOutcome:
-    """Run every named check; deterministic for a given ``(n_states, seed)``.
+def _haar_unit(stream: RandomStream, size: int, worst: dict[str, float]):
+    """Check a chunk of ``size`` random states; returns their qubit purities
+    and their largest gap between the two coherence-vector norms."""
+    report, purity_a = _check_stack(haar_random((2, 3), stream, size), worst, True)
+    return purity_a, float(np.max(abs(report.u_norm - report.v_norm)))
 
-    ``tol``, a finite ``numbers.Real`` >= 0 (not a bool), applies to all
-    floating-point checks (the statistical purity-mean check keeps its own
-    bound).  Requires ``n_states >= 1``.
+
+def _family_unit(stream: RandomStream, size: int, worst: dict[str, float]) -> None:
+    """Check the fixed families as one stack of ``size`` (61) states.
+
+    Rotated maximally entangled states cover the C = 1 boundary (the stream
+    gives each pair's two unitaries in turn), the diagonal two-term grid
+    evaluates exactly, and product states sit exactly on the C = 0 boundary.
+    The grid's k1 = 1 endpoint is rank-1, where the cubic solver's entropy
+    loses precision, so it and the product states skip the sqrt-amplified
+    comparisons.
     """
-    n_states = require_count(n_states, "n_states")
-    require_tolerance(tol)
-
-    stream = RandomStream(seed)
-    worst = dict.fromkeys(CHECK_NAMES, 0.0)
-    purity_sum = 0.0
-    gap_max = 0.0
-
-    for psi in haar_chunks((2, 3), stream, n_states):
-        report, purity_a = _check_stack(psi, worst, True)
-        # Summed left to right, as one state at a time: np.sum adds pairwise
-        # and Python's sum() compensates (3.12+), both changing the last bits.
-        for purity in purity_a.tolist():
-            purity_sum += purity
-        gap_max = max(gap_max, float(np.max(abs(report.u_norm - report.v_norm))))
-
-    # The fixed families, checked as one stack: rotated maximally entangled
-    # states cover the C = 1 boundary (the stream gives each pair's two
-    # unitaries in turn), the diagonal two-term grid evaluates exactly, and
-    # product states sit exactly on the C = 0 boundary.  The grid's k1 = 1
-    # endpoint is rank-1, where the cubic solver's entropy loses precision,
-    # so it and the product states skip the sqrt-amplified comparisons.
     pairs = [(random_unitary(2, stream), random_unitary(3, stream))
              for _ in range(_N_ROTATED_BELL)]
     u_a, u_b = (np.stack(unitaries) for unitaries in zip(*pairs))
@@ -266,14 +285,168 @@ def run_verification(n_states: int = 1000, seed: int = 42,
         ([True] * _N_ROTATED_BELL, _GRID < 1.0, [False] * _N_PRODUCT)))
     _fold(worst, _FAMILIES, report)
 
-    # The stream gives each pair as its state's 6 complex Gaussians, then
-    # those of its two unitaries (4 and 9): one block per chunk of pairs.
-    for size in chunk_sizes(min(n_states, _MAX_ROTATIONS)):
-        block = _complex_gaussians(stream, 19 * size).reshape(size, 19)
-        _fold(worst, _ROTATIONS, SimpleNamespace(
-            psi=PureState(_haar_grids(block[:, :6])),
-            u_a=_haar_unitaries(block[:, 6:10].reshape(size, 2, 2)),
-            u_b=_haar_unitaries(block[:, 10:].reshape(size, 3, 3))))
+
+def _rotation_unit(stream: RandomStream, size: int, worst: dict[str, float]) -> None:
+    """Check a chunk of ``size`` rotation pairs.  The stream gives each pair as
+    its state's 6 complex Gaussians, then those of its two unitaries (4 and
+    9): one block per chunk."""
+    block = _complex_gaussians(stream, 19 * size).reshape(size, 19)
+    _fold(worst, _ROTATIONS, SimpleNamespace(
+        psi=PureState(_haar_grids(block[:, :6])),
+        u_a=_haar_unitaries(block[:, 6:10].reshape(size, 2, 2)),
+        u_b=_haar_unitaries(block[:, 10:].reshape(size, 3, 3))))
+
+
+# Stream words a unit draws: each complex Gaussian is two draws of two words.
+# A (2, 3) Haar state takes 6 complex Gaussians (8 d_b words), a rotation pair
+# 19, and the families 4 + 9 per rotated pair's unitaries and 5 per product.
+_HAAR_WORDS = 4 * 6
+_ROTATION_WORDS = 4 * 19
+_FAMILY_WORDS = 4 * (13 * _N_ROTATED_BELL + 5 * _N_PRODUCT)
+_N_FAMILIES = _N_ROTATED_BELL + len(_SCHMIDT_GRID) + _N_PRODUCT
+
+# One unit of work: the function that checks it, its states, and the stream
+# counter its first draw follows.
+_Unit = namedtuple("_Unit", ("check", "size", "counter"))
+
+
+def _units(n_states: int) -> list[_Unit]:
+    """The units of a run in stream order: the Haar chunks, the families and
+    the rotation chunks, each starting where the one before it ends."""
+    plan = [(_haar_unit, size, _HAAR_WORDS * size) for size in chunk_sizes(n_states)]
+    plan.append((_family_unit, _N_FAMILIES, _FAMILY_WORDS))
+    plan += [(_rotation_unit, size, _ROTATION_WORDS * size)
+             for size in chunk_sizes(min(n_states, _MAX_ROTATIONS))]
+    starts = itertools.accumulate((words for _, _, words in plan), initial=0)
+    return [_Unit(check, size, start) for (check, size, _), start in zip(plan, starts)]
+
+
+def _shares(units: list[_Unit], processes: int) -> list[list[tuple[int, _Unit]]]:
+    """``units``, as ``(index, unit)`` pairs, split into at most ``processes``
+    shares by state count.  Share 0, the calling process's, keeps Haar chunk
+    0 and the families, so that every layer runs in the calling process;
+    every other unit goes, in stream order, to the share with the fewest
+    states so far."""
+    keep = {0, [unit.check for unit in units].index(_family_unit)}
+    shares = [[] for _ in range(processes)]
+    loads = [0] * processes
+    for index in sorted(range(len(units)), key=lambda index: index not in keep):
+        share = 0 if index in keep else loads.index(min(loads))
+        shares[share].append((index, units[index]))
+        loads[share] += units[index].size
+    return [share for share in shares if share]
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _processes() -> int:
+    """Processes to check a run in: one per CPU, or only this one where
+    ``os.fork`` is missing or another thread runs, which makes forking unsafe."""
+    return _cpu_count() if hasattr(os, "fork") and threading.active_count() == 1 else 1
+
+
+def _check_units(share: list[tuple[int, _Unit]], seed: int):
+    """Check each ``(index, unit)`` of ``share``: the largest error of each
+    check, and what each Haar chunk returns, by unit index."""
+    worst = dict.fromkeys(CHECK_NAMES, 0.0)
+    chunks = {}
+    for index, unit in share:
+        found = unit.check(RandomStream(seed, unit.counter), unit.size, worst)
+        if found is not None:
+            chunks[index] = found
+    return worst, chunks
+
+
+def _child(write: int, share, seed: int) -> None:
+    """Check ``share`` in a forked child and send its results, or the exception
+    it raised, up the pipe ``write``.  The child leaves through ``os._exit``
+    alone, so that no inherited stdio buffer or exit handler runs twice."""
+    try:
+        try:
+            result = True, _check_units(share, seed)
+        except BaseException as exc:  # re-raised in the parent
+            result = False, exc
+        try:
+            data = pickle.dumps(result)
+        except Exception:  # an exception that does not pickle: its type and message
+            data = pickle.dumps((False, RuntimeError(f"{type(result[1]).__name__}: {result[1]}")))
+        with open(write, "wb") as pipe:
+            pipe.write(data)
+    finally:
+        os._exit(0)
+
+
+def _check_shares(shares: list[list[tuple[int, _Unit]]], seed: int) -> list:
+    """Each share's results, in share order: the first share is checked here,
+    every other one in a child forked for it, which sends them back over a
+    pipe.  Every child is reaped before this returns or raises."""
+    children = []
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(read)
+                _child(write, share, seed)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        parts = [_check_units(shares[0], seed)]
+        while children:
+            pid, pipe = children[0]
+            # Read to EOF first: a child blocks while its pipe is full.
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if not data:
+                raise RuntimeError(f"verify child {pid} sent no result (wait status {status})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            parts.append(value)
+        return parts
+    finally:
+        if children:  # the parent's share, or a child's, raised
+            import signal
+            for pid, pipe in children:
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def run_verification(n_states: int = 1000, seed: int = 42,
+                     tol: float = 1e-10) -> VerifyOutcome:
+    """Run every named check; deterministic for a given ``(n_states, seed)``.
+
+    ``tol``, a finite ``numbers.Real`` >= 0 (not a bool), applies to all
+    floating-point checks (the statistical purity-mean check keeps its own
+    bound).  Requires ``n_states >= 1``.  The outcome does not depend on the
+    number of processes it is checked in.
+    """
+    n_states = require_count(n_states, "n_states")
+    require_tolerance(tol)
+    seed = RandomStream(seed).seed
+
+    worst, chunks = dict.fromkeys(CHECK_NAMES, 0.0), {}
+    for part_worst, part_chunks in _check_shares(_shares(_units(n_states), _processes()), seed):
+        for name, largest in part_worst.items():
+            _keep(worst, name, largest)
+        chunks.update(part_chunks)
+    purity_sum, gap_max = 0.0, 0.0
+    for index in sorted(chunks):
+        purity_a, gap = chunks[index]
+        # Summed left to right in state order, as one state at a time: np.sum
+        # adds pairwise and Python's sum() compensates (3.12+), both changing
+        # the last bits.
+        for purity in purity_a.tolist():
+            purity_sum += purity
+        gap_max = max(gap_max, gap)
 
     purity_mean = purity_sum / n_states
     _fold(worst, _ENSEMBLE, purity_mean)

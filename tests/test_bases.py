@@ -270,6 +270,17 @@ def test_sparse_decoder_equals_einsum_bits_at_edge_scales(scale):
         assert_decoder_matches_einsum(parts)
 
 
+def test_reconstruct_near_the_float_limit_gives_einsums_entries_without_a_warning():
+    # pyproject.toml turns a RuntimeWarning into an error; only einsum is
+    # allowed to overflow here.
+    coeffs = CoherenceDecomposition(np.full(3, 1e308), np.full(8, 1e308), np.full((3, 8), 1e308))
+    rebuilt = reconstruct(coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = einsum_reconstruct(coeffs)
+    assert same_bits(rebuilt, expected)
+    assert np.isinf(rebuilt).any() and np.isnan(rebuilt).any()
+
+
 def einsum_decompose_outcome(mat):
     """What decompose of the raw array ``mat`` gives by the dense codec: the
     coefficients, or the type and message of the exception it raises."""

@@ -3,6 +3,9 @@
 import dataclasses
 import hashlib
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -41,6 +44,7 @@ from ent23 import (
 )
 from ent23._exact import dot
 from ent23.linalg import require_finite
+from ent23.sampling import _complex_gaussians, chunk_sizes
 
 FIELDS = [field.name for field in dataclasses.fields(EntanglementReport)]
 SCHMIDT_GRID = (1.0 / math.sqrt(2.0), 0.75, math.sqrt(3.0) / 2.0, 0.9, 0.97, 1.0)
@@ -210,6 +214,155 @@ def test_verification_outcome_does_not_depend_on_chunk_size(monkeypatch):
         monkeypatch.setattr(ent23.sampling, "CHUNK_STATES", chunk)
         outcomes.append(outcome_bits(run_verification(n_states=1001, seed=23)))
     assert outcomes[0] == outcomes[1]
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls this process makes, counted."""
+    calls = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: calls.append(1) or fork())
+    return calls
+
+
+# At most 5 processes: the caller and 4 forked children.
+@pytest.mark.parametrize("n_states, chunk", ((1, 500), (41, 7), (1001, 500), (4000, 500)))
+def test_verification_outcome_does_not_depend_on_the_cpu_count(monkeypatch, forks, n_states,
+                                                                chunk):
+    monkeypatch.setattr(ent23.sampling, "CHUNK_STATES", chunk)
+    outcomes = []
+    for cpus in (1, 2, 3, 5):
+        monkeypatch.setattr(ent23.verify, "_cpu_count", lambda: cpus)
+        forks.clear()
+        outcomes.append(outcome_bits(run_verification(n_states=n_states, seed=29)))
+        units = ent23.verify._units(n_states)
+        assert len(forks) == min(cpus, len(units) - 1) - 1
+    assert all(outcome == outcomes[0] for outcome in outcomes[1:])
+
+
+@pytest.mark.parametrize("n_states, chunk", ((1, 500), (41, 7), (1001, 500), (4000, 500)))
+def test_each_unit_starts_at_the_serial_streams_counter(monkeypatch, n_states, chunk):
+    # The serial run's draws, one unit after another on one stream: the Haar
+    # chunks, the families' unitaries and product factors, the rotation chunks.
+    monkeypatch.setattr(ent23.sampling, "CHUNK_STATES", chunk)
+    stream = RandomStream(29)
+    starts = []
+    for size in chunk_sizes(n_states):
+        starts.append(stream.counter)
+        haar_random((2, 3), stream, size)
+    starts.append(stream.counter)
+    for _ in range(5):
+        random_unitary(2, stream)
+        random_unitary(3, stream)
+    _complex_gaussians(stream, 5 * 50)
+    for size in chunk_sizes(min(n_states, 1000)):
+        starts.append(stream.counter)
+        _complex_gaussians(stream, 19 * size)
+    assert [unit.counter for unit in ent23.verify._units(n_states)] == starts
+
+
+def test_a_nan_in_a_childs_units_fails_its_check(monkeypatch):
+    caller = os.getpid()
+
+    def nan_in_a_child(form):
+        c = concurrence_schmidt(form)
+        return c if os.getpid() == caller else np.full_like(c, np.nan)
+
+    monkeypatch.setattr(ent23.measures, "concurrence_schmidt", nan_in_a_child)
+    monkeypatch.setattr(ent23.verify, "_cpu_count", lambda: 2)
+    outcome = run_verification(n_states=1001, seed=1)
+    assert math.isnan(outcome.check("concurrence-amplitude-vs-schmidt").max_error)
+    assert not outcome.check("concurrence-amplitude-vs-schmidt").passed
+    assert outcome.check("concurrence-amplitude-vs-bloch").passed
+    # In one process the patch never sees a child, and every check passes.
+    monkeypatch.setattr(ent23.verify, "_cpu_count", lambda: 1)
+    assert run_verification(n_states=1001, seed=1).overall
+
+
+def child_raises(stream, size, worst):
+    raise ValidationError("a rotation chunk failed")
+
+
+class Unpicklable(ValidationError):
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None  # a lambda does not pickle
+
+
+def child_raises_what_does_not_pickle(stream, size, worst):
+    raise Unpicklable("a rotation chunk failed")
+
+
+def child_dies(stream, size, worst):
+    os._exit(3)
+
+
+@pytest.mark.parametrize("fail, error, message", (
+    (child_raises, ValidationError, "^a rotation chunk failed$"),
+    (child_raises_what_does_not_pickle, RuntimeError, "^Unpicklable: a rotation chunk failed$"),
+    (child_dies, RuntimeError, r"sent no result \(wait status 768\)"),
+), ids=("raises", "raises-unpicklable", "dies"))
+def test_a_child_that_fails_fails_the_call_and_every_child_is_reaped(monkeypatch, fail, error,
+                                                                      message):
+    caller = os.getpid()
+    rotation_unit = ent23.verify._rotation_unit
+
+    def fail_in_a_child(stream, size, worst):
+        if os.getpid() == caller:
+            return rotation_unit(stream, size, worst)
+        return fail(stream, size, worst)
+
+    monkeypatch.setattr(ent23.verify, "_rotation_unit", fail_in_a_child)
+    monkeypatch.setattr(ent23.verify, "_cpu_count", lambda: 3)
+    with pytest.raises(error, match=message) as raised:
+        run_verification(n_states=1001, seed=1)
+    assert type(raised.value) is error
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_error_in_the_callers_share_kills_and_reaps_every_child(monkeypatch):
+    caller = os.getpid()
+    haar_unit = ent23.verify._haar_unit
+
+    def stall_in_a_child(stream, size, worst):
+        if os.getpid() != caller:
+            time.sleep(60)
+        return haar_unit(stream, size, worst)
+
+    def fail_here(stream, size, worst):
+        raise ValidationError("the families failed")
+
+    monkeypatch.setattr(ent23.verify, "_haar_unit", stall_in_a_child)
+    monkeypatch.setattr(ent23.verify, "_family_unit", fail_here)
+    monkeypatch.setattr(ent23.verify, "_cpu_count", lambda: 2)
+    start = time.monotonic()
+    with pytest.raises(ValidationError, match="^the families failed$"):
+        run_verification(n_states=1001, seed=1)
+    assert time.monotonic() - start < 30.0
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_verification_forks_no_child_where_forking_is_unsafe(monkeypatch, forks):
+    monkeypatch.setattr(ent23.verify, "_cpu_count", lambda: 2)
+    expected = outcome_bits(run_verification(n_states=1001, seed=5))
+    assert len(forks) == 1
+    forks.clear()
+    # Another thread runs: a forked child would hold a copy of its locks.
+    done = threading.Event()
+    thread = threading.Thread(target=done.wait)
+    thread.start()
+    try:
+        assert outcome_bits(run_verification(n_states=1001, seed=5)) == expected
+    finally:
+        done.set()
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+    # No os.fork on this platform.
+    monkeypatch.delattr(os, "fork")
+    assert outcome_bits(run_verification(n_states=1001, seed=5)) == expected
+    assert forks == []
 
 
 def test_one_stack_of_families_records_what_one_stack_per_family_records():

@@ -14,7 +14,8 @@ took a NaN or infinite ``tol``; a long double beyond the float range warned
 of an overflow in its cast before it was rejected.  Entries near the float
 limit warned of an overflow in ``require_hermitian``'s deviation, in
 ``DensityMatrix``'s trace and in a raw ``decompose``'s sums before they were
-rejected.
+rejected.  The eigensolvers warned of an overflow on finite matrices whose
+eigenvalues, or whose spectral gap, leave the float range.
 """
 
 import numpy as np
@@ -22,8 +23,9 @@ import pytest
 
 from ent23 import (CoherenceDecomposition, ConsistencyError, DensityMatrix, PureState,
                    RandomStream, ValidationError, binary_entropy, decompose,
-                   eof_from_concurrence, haar_random, hermitian_eig2, product_state,
-                   render_state_file, rotate_local, schmidt_pair_state)
+                   eof_from_concurrence, haar_random, hermitian_eig2, hermitian_eig3,
+                   hermitian_eigvecs2, product_state, render_state_file, rotate_local,
+                   schmidt_pair_state)
 from ent23.linalg import require_finite, require_hermitian
 
 COMPLEX_INPUTS = {
@@ -187,3 +189,12 @@ def test_entries_near_the_float_limit_are_rejected_without_a_warning(call, error
     with pytest.raises(error) as raised:
         call()
     assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("call, expected", (
+    (lambda: hermitian_eig2(np.full((2, 2), 1e308)), (np.inf, 0.0)),
+    (lambda: hermitian_eig3(np.full((3, 3), 1e308)), (np.inf, 0.0, 0.0)),
+    (lambda: tuple(hermitian_eigvecs2(np.diag([1.7e308, -1.7e308]))[0]), (1.7e308, -1.7e308)),
+), ids=("hermitian_eig2", "hermitian_eig3", "hermitian_eigvecs2"))
+def test_eigenvalues_beyond_the_float_range_are_solved_without_a_warning(call, expected):
+    assert call() == expected
