@@ -32,24 +32,34 @@ modules use them instead:
 - Some of NumPy's SIMD math loops differ from libm (glibc) in the last bit,
   and which ones depends on the level NumPy dispatches to.  Mismatches on
   1M inputs each, NumPy 2.4.6 on AVX-512, levels set with
-  ``NPY_DISABLE_CPU_FEATURES``:
+  ``NPY_DISABLE_CPU_FEATURES``; the last column is the call on the input
+  reversed, ``f(x[::-1])[::-1]``, at each of the three levels:
 
-  ==========  ================  =============  ===============
-  function    default (X86_V4)  X86_V4 off     X86_V3+V4 off
-  ==========  ================  =============  ===============
-  ``cos``     0                 0              0
-  ``log``     3445 (0.34 %)     0              0
-  ``log2``    1924 (0.19 %)     0              0
-  ``arccos``  94283 (9.4 %)     0              0
-  ==========  ================  =============  ===============
+  ==========  ================  ==========  =============  ==============
+  function    default (X86_V4)  X86_V4 off  X86_V3+V4 off  reversed input
+  ==========  ================  ==========  =============  ==============
+  ``cos``     0                 0           0              0
+  ``log``     3542 (0.35 %)     0           0              0
+  ``log2``    1935 (0.19 %)     0           0              0
+  ``arccos``  93596 (9.4 %)     0           0              0
+  ==========  ================  ==========  =============  ==============
 
   The inputs were the stream's (``cos``, ``log``) and uniform ones in the
-  solver's and the entropies' ranges.  ``np.cos`` also matched on the 19.9M
-  inputs of ``tests/test_numpy_cos.py`` at each level; that test checks it on
-  every level the host can run.  So the random stream's Box-Muller and the
-  3x3 solver call ``np.cos``, and apply ``math.log`` and ``math.acos`` per
-  element (:func:`libm_map`); the entropies sum ``p log2 p`` per element in
-  Python.
+  entropies' range (0, 1] (``log2``) and the solver's [-1, 1] (``arccos``).
+  On a reversed input NumPy does not take its SIMD loop but its per-element
+  one, which calls libm: 5 to 20 ns per element, where a Python call of the
+  ``math`` function costs ~110 ns.  Two traps take the SIMD loop again, and
+  differed on the same inputs: a ufunc call on a 0-d input, and a reversed
+  input together with an ``out=`` reversed with it; so does a 2-D input
+  reversed along its first axis only.  :func:`libm_map` therefore ravels,
+  reverses the whole, and lets NumPy allocate the output.  ``np.cos`` also
+  matched on the 19.9M inputs of ``tests/test_numpy_cos.py`` at each level,
+  as :func:`libm_map` of ``np.log``, ``np.log2`` and ``np.arccos`` did on
+  that test's 11.5M; it checks both on every level the host can run.  So
+  the random stream's Box-Muller and the 3x3 solver call ``np.cos``, and the
+  stream's ``log``, the solver's ``acos`` and the entropies' ``log2`` go
+  through :func:`libm_map`.  The entropies' sums keep their left-to-right
+  order (:func:`ent23.measures._entropies`).
 - The codec (:mod:`ent23.bases`) adds only the nonzero terms where
   ``einsum`` added all 36, and gives einsum's bits.  Every column of every
   operator holds at most one nonzero, so einsum's partial sums of a trace
@@ -117,10 +127,12 @@ def modulus(z):
 
 
 def libm_map(f, x) -> np.ndarray:
-    """``f`` (a ``math`` function) of each element of ``x``, as an array of
-    ``x``'s shape."""
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(f, x.ravel().tolist()), float, x.size).reshape(x.shape)
+    """``f`` (``np.log``, ``np.log2`` or ``np.arccos``) of each float of the
+    array or NumPy scalar ``x``, with libm's bits, as an array of ``x``'s
+    shape: a reversed input runs NumPy's per-element loop, which calls libm.
+    ``x`` is raveled, so a 0-d input is not called as one, and NumPy
+    allocates the output (both traps are in the module notes)."""
+    return f(x.ravel()[::-1])[::-1].reshape(x.shape)
 
 
 def dot(x: np.ndarray, y: np.ndarray) -> np.ndarray:

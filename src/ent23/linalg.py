@@ -131,11 +131,14 @@ def require_hermitian(matrix, tol: float = HERMITICITY_TOL, what: str = "matrix"
     if m.dtype.kind in "biu":  # an integer difference can wrap
         m = m.astype(float)
     # A difference beyond the float range is inf, which the test below rejects.
+    # ``item`` keeps a long double, whose range is wider, and gives a float
+    # otherwise; the deviation is compared and printed at that precision.
     with np.errstate(over="ignore"):
-        deviation = float(np.abs(m - np.conj(m.swapaxes(-1, -2))).max(initial=0.0))
+        deviation = np.abs(m - np.conj(m.swapaxes(-1, -2))).max(initial=0.0).item()
     if deviation > tol:
         raise ValidationError(
-            f"{what} is not Hermitian: max deviation {deviation:.3e} exceeds {tol:g}"
+            f"{what} is not Hermitian: max deviation "
+            f"{np.format_float_scientific(deviation, precision=3, unique=False)} exceeds {tol:g}"
         )
 
 
@@ -347,7 +350,7 @@ def hermitian_eig3(matrix):
     t = [cmul((re[j, 0], im[j, 0]), minor(re, im, 1, 2, *cols))[0]
          for j, cols in enumerate(((1, 2), (0, 2), (0, 1)))]
     r = np.clip(((t[0] - t[1]) + t[2]) / 2.0, -1.0, 1.0)
-    phi = libm_map(math.acos, r) / 3.0
+    phi = libm_map(np.arccos, r) / 3.0
     angle = np.where(r >= 0.0, phi, phi + 2.0 * math.pi / 3.0)
     isolated = q + 2.0 * p * np.cos(angle)
     minors = (a * b - s01) + (a * c - s02) + (b * c - s12)

@@ -67,7 +67,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._exact import TINY, dot, minor, modulus, norm, square, unit
+from ._exact import TINY, dot, libm_map, minor, modulus, norm, square, unit
 from .bases import CoherenceDecomposition, DensityMatrix, decompose, reduced_a
 from .errors import ValidationError
 from .linalg import (_any, _require_array, _require_stack, _Valid, _worst, hermitian_eig2,
@@ -360,22 +360,29 @@ def _unit_interval(x, what: str):
     return np.minimum(1.0, np.maximum(0.0, x))
 
 
-def _entropies(rows, shape) -> np.ndarray:
-    """``-sum p log2 p`` of each row, in order, skipping ``p = 0``, as an
-    array of ``shape``."""
-    totals = []
-    for row in rows:
+def _entropies(p: np.ndarray):
+    """``-sum p log2 p`` along the last axis of ``p``, skipping each ``p``
+    that is not positive (0, -0.0, NaN): a float for one distribution
+    (``p.ndim == 1``), an array for a stack.  Every sum runs left to right
+    from 0.0, for one distribution in Python floats.  On a stack a skipped
+    entry becomes 1.0, whose term ``1.0 * log2(1.0)`` is an exact 0.0 and
+    changes no sum; ``log2`` is libm's (:func:`~ent23._exact.libm_map`) and
+    ``np.subtract.reduce`` keeps the order, so each row has the bits of the
+    one-distribution sum."""
+    if p.ndim == 1:
         total = 0.0
-        for p in row:
-            if p > 0.0:
-                total -= p * math.log2(p)
-        totals.append(total)
-    return np.array(totals).reshape(shape)
+        for x in p.tolist():
+            if x > 0.0:
+                total -= x * math.log2(x)
+        return total
+    q = np.where(p > 0.0, p, 1.0)
+    return np.subtract.reduce(q * libm_map(np.log2, q), axis=-1, initial=0.0)
 
 
 def _binary_entropies(x: np.ndarray):
     """:func:`binary_entropy` of each element of ``x``, already in [0, 1]."""
-    return _out(_entropies(((p, 1.0 - p) for p in np.ravel(x).tolist()), np.shape(x)))
+    pairs = (x, 1.0 - x)
+    return _entropies(np.stack(pairs, axis=-1) if x.ndim else np.array(pairs))
 
 
 def binary_entropy(x):
@@ -411,8 +418,7 @@ def von_neumann_entropy(rho: DensityMatrix):
     # eigensolvers; hand them the exactly Hermitian part.
     matrix = 0.5 * (mat + np.conj(mat).swapaxes(-1, -2))
     eigenvalues = (hermitian_eig2 if rho.dim == 2 else hermitian_eig3)(matrix)
-    p = np.minimum(1.0, np.maximum(0.0, eigenvalues))
-    return _out(_entropies(p.reshape(-1, rho.dim).tolist(), mat.shape[:-2]))
+    return _entropies(np.minimum(1.0, np.maximum(0.0, eigenvalues)))
 
 
 def _measure(psi: PureState):

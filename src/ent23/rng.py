@@ -20,8 +20,10 @@ generators of Salmon et al., "Parallel random numbers: as easy as 1, 2, 3"
 ``n`` one-draw calls and leaves the counter where they would.  The uniforms,
 ``sqrt`` and the products by ``-2.0`` and ``2.0 * pi`` are exact or
 correctly rounded in NumPy too, and ``np.cos`` gives libm's bits on every
-SIMD level measured; ``log`` is libm's, applied per element, because
-NumPy's X86_V4 ``log`` is not (the table in :mod:`ent23._exact`).
+SIMD level measured.  NumPy's X86_V4 ``log`` does not, so ``log`` is libm's,
+applied per element: :func:`~ent23._exact.libm_map` runs ``np.log`` on the
+uniforms reversed, which NumPy evaluates in its per-element loop, a call of
+libm's ``log`` per element (the table in :mod:`ent23._exact`).
 
 Streams are plain mutable values.  Concurrent samplers must not share one
 stream, and there is no split operation: give each sampler its own seed.
@@ -79,5 +81,5 @@ class RandomStream:
         words = self._words(2 * count)
         u = (words[0::2] + np.uint64(1)) * _INV_2_53   # in (0, 1], log-safe
         v = words[1::2] * _INV_2_53                     # in [0, 1)
-        draws = np.sqrt(-2.0 * libm_map(math.log, u)) * np.cos(_TWO_PI * v)
+        draws = np.sqrt(-2.0 * libm_map(np.log, u)) * np.cos(_TWO_PI * v)
         return float(draws[0]) if n is None else draws

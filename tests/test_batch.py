@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import itertools
 import math
 import os
 import threading
@@ -501,6 +502,34 @@ def test_elementwise_entropies_equal_scalar_calls():
     assert same_bits(binary_entropy(xs), [binary_entropy(float(x)) for x in xs])
     assert same_bits(eof_from_concurrence(xs), [eof_from_concurrence(float(x)) for x in xs])
     assert type(eof_from_concurrence(0.5)) is float
+
+
+#: Entropy inputs at the edges of the skip and of ``log2``'s range.
+EDGE_PROBABILITIES = (0.0, -0.0, 1.0, math.nan, 1e-300, 1.0 - 1e-16, 0.25)
+
+
+@pytest.mark.parametrize("dim, solver", ((2, "hermitian_eig2"), (3, "hermitian_eig3")))
+def test_stacked_entropies_equal_one_state_calls_on_edge_values(monkeypatch, dim, solver):
+    # The solver is replaced by one that returns every row of edge values,
+    # NaN eigenvalues included; each matrix diag(t, 1 - t, ...) names its row by t.
+    spectra = list(itertools.product(EDGE_PROBABILITIES, repeat=dim))
+    labels = [(index + 1) / (len(spectra) + 2) for index in range(len(spectra))]
+    by_label = dict(zip(labels, spectra))
+
+    def spectrum(matrix):
+        rows = [by_label[t] for t in np.ravel(matrix[..., 0, 0].real).tolist()]
+        return np.array(rows) if matrix.ndim == 3 else rows[0]
+
+    monkeypatch.setattr(ent23.measures, solver, spectrum)
+    matrices = [np.diag([t, 1.0 - t] + [0.0] * (dim - 2)) for t in labels]
+    stacked = von_neumann_entropy(DensityMatrix(np.stack(matrices)))
+    assert same_bits(stacked, [von_neumann_entropy(DensityMatrix(m)) for m in matrices])
+    assert type(von_neumann_entropy(DensityMatrix(matrices[0]))) is float
+
+    xs = np.array([x for x in EDGE_PROBABILITIES if not math.isnan(x)] + [0.5, 1e-16])
+    assert same_bits(binary_entropy(xs), [binary_entropy(x) for x in xs.tolist()])
+    grid = xs.reshape(2, -1)
+    assert same_bits(binary_entropy(grid), binary_entropy(grid.ravel()).reshape(grid.shape))
 
 
 def test_stack_with_one_unnormalized_state_is_rejected():

@@ -39,13 +39,22 @@ def test_modulus_is_scalar_abs():
         assert same_bits(modulus(v), np.float64(abs(complex(v))))
 
 
-@pytest.mark.parametrize("f, low, high", [(math.log, 1e-300, 1.0), (math.acos, -1.0, 1.0),
-                                          (math.cos, 0.0, 2.0 * math.pi)])
-@pytest.mark.parametrize("shape", [(), (N,), (N // 4, 4)])
-def test_libm_map_is_per_element_libm(f, low, high, shape):
-    x = np.random.default_rng(3).uniform(low, high, size=shape)
-    expected = np.array([f(v) for v in x.ravel().tolist()]).reshape(shape)
-    assert same_bits(libm_map(f, x), expected)
+@pytest.mark.parametrize("ufunc, f, low, high", [(np.log, math.log, 1e-300, 1.0),
+                                                 (np.log2, math.log2, 1e-300, 1.0),
+                                                 (np.arccos, math.acos, -1.0, 1.0)])
+@pytest.mark.parametrize("shape", [(), (1,), (2,), (3,), (N,), (N // 4, 4)])
+def test_libm_map_is_per_element_libm(ufunc, f, low, high, shape):
+    x = np.random.default_rng(3).uniform(low, high, size=N)
+    libm = np.array([f(v) for v in x.tolist()])
+    # The inputs on which NumPy's forward loop differs from libm come first,
+    # so that the short shapes hold them too.  Where NumPy runs an X86_V4
+    # loop there are some (tests/test_numpy_cos.py), and the test can fail.
+    forward_differs = ufunc(x).view(np.int64) != libm.view(np.int64)
+    order = np.argsort(~forward_differs, kind="stable")[:math.prod(shape)]
+    x, expected = x[order].reshape(shape), libm[order].reshape(shape)
+    assert same_bits(libm_map(ufunc, x), expected)
+    if shape == ():
+        assert same_bits(libm_map(ufunc, x[()]), expected)
 
 
 @pytest.mark.parametrize("length", (3, 6, 8))

@@ -172,6 +172,14 @@ def test_a_long_double_beyond_the_float_range_is_rejected_without_a_warning(call
         call(BEYOND_DOUBLE)
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(float).max,
+                    reason="long double is no wider than float here")
+def test_a_long_double_deviation_is_printed_at_its_own_precision():
+    with pytest.raises(ValidationError) as raised:
+        require_hermitian(np.array([[0, BEYOND_DOUBLE], [0, 0]]))
+    assert str(raised.value) == "matrix is not Hermitian: max deviation 1.000e+4000 exceeds 1e-12"
+
+
 NEAR_THE_LIMIT = np.array([[0.0, 1.7e308], [-1.7e308, 0.0]])
 
 

@@ -148,7 +148,7 @@ def test_every_field_is_within_its_bound_of_the_exact_value():
 def test_an_entropy_in_nats_fails_the_oracle(monkeypatch):
     bits = ent23.measures._entropies
     monkeypatch.setattr(ent23.measures, "_entropies",
-                        lambda rows, shape: bits(rows, shape) * math.log(2.0))
+                        lambda p: bits(p) * math.log(2.0))
     over = {key for key, value in worst_errors().items() if value[0] > 1.0}
     assert {field for _, field in over} == {"eof", "vn_entropy_a"}
 
