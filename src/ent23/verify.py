@@ -50,16 +50,17 @@ between the calling process and up to one child per further CPU
 (``os.sched_getaffinity``, else ``os.cpu_count``); the caller keeps the
 first random chunk and the families.  Each child is forked at the call, so
 it holds the caller's state, monkeypatches included, and no process
-outlives the call.  A child checks its share, sends its largest errors, its
-chunks' purities and norm gaps up one pipe, and leaves through
+outlives the call.  A child checks its share, sends its maxima (each
+check's largest error, and the largest gap between the coherence-vector
+norms) and its random chunks' qubit purities up one pipe, and leaves through
 ``os._exit``; an exception it raises is raised again in the caller, with its
 type and message.  The caller reads each pipe to its end before it reaps
 the child, and kills and reaps every child when its own share raises.  It
-merges the maxima with ``max``, a NaN sticking as in :func:`_fold`, and adds
-the purities left to right in state order, so the outcome has the same bits
-on any number of CPUs.  Where ``os.fork`` is missing, or another thread runs
-(a forked child would inherit locks held by it), the caller checks every
-unit itself.  The children's resources are not the caller's:
+merges the maxima with :func:`_keep`, where a NaN sticks, and adds all the
+purities in state order in one sequential reduce, so the outcome has the
+same bits on any number of CPUs.  Where ``os.fork`` is missing, or another
+thread runs (a forked child would inherit locks held by it), the caller
+checks every unit itself.  The children's resources are not the caller's:
 ``getrusage(RUSAGE_SELF)``, and so the benchmark's ``peak_rss_mb``, leaves
 them out, and a tracer installed in the caller records only its own share.
 """
@@ -102,8 +103,7 @@ PURITY_MEAN_REFERENCE_N = 2000
 _N_PRODUCT = 50
 _N_ROTATED_BELL = 5
 _MAX_ROTATIONS = 1000
-_SCHMIDT_GRID = (1.0 / math.sqrt(2.0), 0.75, math.sqrt(3.0) / 2.0, 0.9, 0.97, 1.0)
-_GRID = np.array(_SCHMIDT_GRID)
+_GRID = np.array((1.0 / math.sqrt(2.0), 0.75, math.sqrt(3.0) / 2.0, 0.9, 0.97, 1.0))
 # The two-term grid's rows of the fixed-family stack.
 _ON_GRID = slice(_N_ROTATED_BELL, -_N_PRODUCT)
 
@@ -223,6 +223,9 @@ _CHECKS = (
 )
 
 CHECK_NAMES = tuple(check.name for check in _CHECKS)
+# The largest gap between a random state's two coherence-vector norms: not a
+# check, but kept and merged with the checks' largest errors.
+_GAP = "max-u-v-norm-gap"
 
 
 def _keep(worst: dict[str, float], name: str, largest: float) -> None:
@@ -242,25 +245,27 @@ def _fold(worst: dict[str, float], stack: str, m) -> None:
             _keep(worst, check.name, float(np.max(errors)))
 
 
-def _check_stack(psi: PureState, worst: dict[str, float], amplified):
+def _check_stack(psi: PureState, worst: dict[str, float], amplified) -> SimpleNamespace:
     """Record every check that applies to any state of the stack ``psi``.
 
     ``amplified`` (a per-state mask, or one bool for the stack) selects the
     states that also take the sqrt-amplified comparisons.  Returns the
-    stack's report and its qubit purities, for the family checks.
+    stack's measures, for what its unit checks or keeps besides.
     """
     report, rho, rho_a, coeffs, form = _measure(psi)
-    _fold(worst, _EACH, SimpleNamespace(
-        **report.as_dict(), psi=psi, rho=rho, rho_a=rho_a, rho_b=reduced_b(rho),
-        coeffs=coeffs, form=form, amplified=amplified))
-    return report, np.einsum("nij,nji->n", rho_a.matrix, rho_a.matrix).real
+    m = SimpleNamespace(**report.as_dict(), psi=psi, rho=rho, rho_a=rho_a, rho_b=reduced_b(rho),
+                        coeffs=coeffs, form=form, amplified=amplified)
+    _fold(worst, _EACH, m)
+    return m
 
 
-def _haar_unit(stream: RandomStream, size: int, worst: dict[str, float]):
-    """Check a chunk of ``size`` random states; returns their qubit purities
-    and their largest gap between the two coherence-vector norms."""
-    report, purity_a = _check_stack(haar_random((2, 3), stream, size), worst, True)
-    return purity_a, float(np.max(abs(report.u_norm - report.v_norm)))
+def _haar_unit(stream: RandomStream, size: int, worst: dict[str, float]) -> np.ndarray:
+    """Check a chunk of ``size`` random states, keeping their largest gap
+    between the two coherence-vector norms in ``worst``; returns their qubit
+    purities."""
+    m = _check_stack(haar_random((2, 3), stream, size), worst, True)
+    _keep(worst, _GAP, float(np.max(abs(m.u_norm - m.v_norm))))
+    return np.einsum("nij,nji->n", m.rho_a.matrix, m.rho_a.matrix).real
 
 
 def _family_unit(stream: RandomStream, size: int, worst: dict[str, float]) -> None:
@@ -279,11 +284,10 @@ def _family_unit(stream: RandomStream, size: int, worst: dict[str, float]) -> No
     factors = _complex_gaussians(stream, 5 * _N_PRODUCT).reshape(_N_PRODUCT, 5)
     psi = PureState(np.concatenate([
         rotate_local(schmidt_pair_state(1.0 / math.sqrt(2.0)), u_a, u_b).amplitudes,
-        [schmidt_pair_state(k1).amplitudes for k1 in _SCHMIDT_GRID],
+        [schmidt_pair_state(k1).amplitudes for k1 in _GRID],
         product_state(unit(factors[:, :2]), unit(factors[:, 2:])).amplitudes]))
-    report, _ = _check_stack(psi, worst, np.concatenate(
-        ([True] * _N_ROTATED_BELL, _GRID < 1.0, [False] * _N_PRODUCT)))
-    _fold(worst, _FAMILIES, report)
+    _fold(worst, _FAMILIES, _check_stack(psi, worst, np.concatenate(
+        ([True] * _N_ROTATED_BELL, _GRID < 1.0, [False] * _N_PRODUCT))))
 
 
 def _rotation_unit(stream: RandomStream, size: int, worst: dict[str, float]) -> None:
@@ -303,7 +307,7 @@ def _rotation_unit(stream: RandomStream, size: int, worst: dict[str, float]) -> 
 _HAAR_WORDS = 4 * 6
 _ROTATION_WORDS = 4 * 19
 _FAMILY_WORDS = 4 * (13 * _N_ROTATED_BELL + 5 * _N_PRODUCT)
-_N_FAMILIES = _N_ROTATED_BELL + len(_SCHMIDT_GRID) + _N_PRODUCT
+_N_FAMILIES = _N_ROTATED_BELL + len(_GRID) + _N_PRODUCT
 
 # One unit of work: the function that checks it, its states, and the stream
 # counter its first draw follows.
@@ -353,14 +357,15 @@ def _processes() -> int:
 
 def _check_units(share: list[tuple[int, _Unit]], seed: int):
     """Check each ``(index, unit)`` of ``share``: the largest error of each
-    check, and what each Haar chunk returns, by unit index."""
-    worst = dict.fromkeys(CHECK_NAMES, 0.0)
-    chunks = {}
+    check and the largest norm gap, and each Haar chunk's qubit purities, by
+    unit index."""
+    worst = dict.fromkeys((*CHECK_NAMES, _GAP), 0.0)
+    purities = {}
     for index, unit in share:
         found = unit.check(RandomStream(seed, unit.counter), unit.size, worst)
         if found is not None:
-            chunks[index] = found
-    return worst, chunks
+            purities[index] = found
+    return worst, purities
 
 
 def _child(write: int, share, seed: int) -> None:
@@ -433,27 +438,21 @@ def run_verification(n_states: int = 1000, seed: int = 42,
     require_tolerance(tol)
     seed = RandomStream(seed).seed
 
-    worst, chunks = dict.fromkeys(CHECK_NAMES, 0.0), {}
-    for part_worst, part_chunks in _check_shares(_shares(_units(n_states), _processes()), seed):
+    (worst, purities), *others = _check_shares(_shares(_units(n_states), _processes()), seed)
+    for part_worst, part_purities in others:
         for name, largest in part_worst.items():
             _keep(worst, name, largest)
-        chunks.update(part_chunks)
-    purity_sum, gap_max = 0.0, 0.0
-    for index in sorted(chunks):
-        purity_a, gap = chunks[index]
-        # Summed left to right in state order, as one state at a time: np.sum
-        # adds pairwise and Python's sum() compensates (3.12+), both changing
-        # the last bits.
-        for purity in purity_a.tolist():
-            purity_sum += purity
-        gap_max = max(gap_max, gap)
-
-    purity_mean = purity_sum / n_states
+        purities.update(part_purities)
+    # Added left to right in state order, as one state at a time: np.sum adds
+    # pairwise and Python's sum() compensates (3.12+), both changing the last
+    # bits.  subtract.reduce runs in order, and fl(-s - p) = -fl(s + p).
+    purity_mean = float(-np.subtract.reduce(np.concatenate(
+        [purities[index] for index in sorted(purities)]), initial=0.0)) / n_states
     _fold(worst, _ENSEMBLE, purity_mean)
     checks = tuple(CheckResult(check.name, worst[check.name], check.bound(tol, n_states))
                    for check in _CHECKS)
     # The value each ensemble check measured, under its name, then the
     # largest gap between the two coherence-vector norms.
     observations = {check.name: purity_mean for check in _CHECKS if check.stack == _ENSEMBLE}
-    observations["max-u-v-norm-gap"] = gap_max
+    observations[_GAP] = worst[_GAP]
     return VerifyOutcome(checks=checks, observations=observations)

@@ -280,6 +280,39 @@ def test_a_nan_in_a_childs_units_fails_its_check(monkeypatch):
     assert run_verification(n_states=1001, seed=1).overall
 
 
+@pytest.mark.parametrize("cpus", (1, 2))
+@pytest.mark.parametrize("chunk", (0, 1), ids=("first-chunk", "later-chunk"))
+def test_a_nan_norm_gap_sticks_in_the_observation(monkeypatch, cpus, chunk):
+    # 1001 states in chunks of 500: at 2 CPUs chunk 0 is checked here, chunk 1
+    # in the child.  A NaN in one chunk's u_norm must not drop out of the gap,
+    # wherever it falls in the merge.
+    monkeypatch.setattr(ent23.sampling, "CHUNK_STATES", 500)
+    unit = ent23.verify._units(1001)[chunk]
+    poisoned = haar_random((2, 3), RandomStream(3, unit.counter), unit.size).amplitudes
+    measure = ent23.verify._measure
+
+    def nan_in_one_chunk(psi):
+        report, *rest = measure(psi)
+        if np.array_equal(psi.amplitudes, poisoned):
+            u_norm = report.u_norm.copy()
+            u_norm[7] = np.nan
+            report = dataclasses.replace(report, u_norm=u_norm)
+        return report, *rest
+
+    monkeypatch.setattr(ent23.verify, "_measure", nan_in_one_chunk)
+    monkeypatch.setattr(ent23.verify, "_cpu_count", lambda: cpus)
+    outcome = run_verification(n_states=1001, seed=3)
+    assert math.isnan(outcome.observations["max-u-v-norm-gap"])
+    assert not outcome.overall
+
+
+def test_cpu_count_falls_back_to_os_cpu_count_then_to_one(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert ent23.verify._cpu_count() == os.cpu_count()
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert ent23.verify._cpu_count() == 1
+
+
 def child_raises(stream, size, worst):
     raise ValidationError("a rotation chunk failed")
 
@@ -384,7 +417,7 @@ def test_one_stack_of_families_records_what_one_stack_per_family_records():
     parts = [ent23.verify._check_stack(PureState(amplitudes), per_family, amplified)
              for amplitudes, amplified in families]
     stacked = dict.fromkeys(ent23.verify.CHECK_NAMES, 0.0)
-    report, purity = ent23.verify._check_stack(
+    measures = ent23.verify._check_stack(
         PureState(np.concatenate([amplitudes for amplitudes, _ in families])), stacked,
         np.concatenate([np.broadcast_to(amplified, len(amplitudes))
                         for amplitudes, amplified in families]))
@@ -392,13 +425,12 @@ def test_one_stack_of_families_records_what_one_stack_per_family_records():
         name: float.hex(value) for name, value in per_family.items()}
     assert stacked["concurrence-amplitude-vs-bloch"] > 0.0
     start = 0
-    for part_report, part_purity in parts:
-        rows = slice(start, start + len(part_purity))
+    for part in parts:
+        rows = slice(start, start + len(part.c_amplitude))
         for name in FIELDS:
-            assert same_bits(getattr(report, name)[rows], getattr(part_report, name)), name
-        assert same_bits(purity[rows], part_purity)
+            assert same_bits(getattr(measures, name)[rows], getattr(part, name)), name
         start = rows.stop
-    assert start == len(purity)
+    assert start == len(measures.c_amplitude)
 
 
 def test_stacked_eig2_covers_zero_and_degenerate_matrices():

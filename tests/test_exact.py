@@ -92,6 +92,19 @@ def test_cmul_and_minor_are_scalar_complex_arithmetic():
         assert same_bits(np.array(one), np.array((expected[0].real, expected[0].imag)))
 
 
+def test_subtract_reduce_adds_in_order():
+    # verify's purity sum and the stacked entropies add with subtract.reduce:
+    # -fl(-s - p) = fl(s + p), one element after another.  Each 2**-53 is half
+    # an ulp of 1.0 and rounds away on its own; pairwise summation adds them
+    # first and keeps them.
+    x = np.array([1.0] + [2.0 ** -53] * 1000)
+    ordered = 0.0
+    for v in x.tolist():
+        ordered += v
+    assert float(-np.subtract.reduce(x, initial=0.0)) == ordered == 1.0
+    assert np.sum(x) != 1.0
+
+
 def test_only_exact_module_calls_the_trap_workarounds():
     package = Path(ent23.__file__).parent
     for path in package.glob("*.py"):
