@@ -116,8 +116,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, ValidationError
-from .linalg import (_require_array, _require_stack, _Valid, _worst, require_finite,
-                     require_hermitian)
+from .linalg import (_require_array, _require_stack, _require_type, _Valid, _worst,
+                     require_finite, require_hermitian)
 
 #: Validation tolerances for density matrices.
 DENSITY_HERMITICITY_TOL = 1e-10
@@ -355,6 +355,7 @@ def reconstruct(coeffs: CoherenceDecomposition) -> np.ndarray:
     Coefficients near the float limit give einsum's inf and NaN entries,
     without a warning.
     """
+    _require_type(coeffs, "coeffs", CoherenceDecomposition)
     beta = coeffs.beta.reshape(coeffs.beta.shape[:-2] + (24,))
     with np.errstate(over="ignore", invalid="ignore"):
         # In place, with einsum's operands in its order: (I + U) + sqrt(3) V + B.

@@ -77,6 +77,16 @@ def _numbers(values, what: str) -> np.ndarray:
     return arr
 
 
+def _require_type(value, what: str, *types: type):
+    """Return ``value`` if it is an instance of one of ``types``, which its
+    caller reads attributes of: an array in their place would raise
+    ``AttributeError``."""
+    if not isinstance(value, types):
+        raise ValidationError(f"{what} must be a {' or '.join(t.__name__ for t in types)}, "
+                              f"got {type(value).__name__}")
+    return value
+
+
 def require_finite(values, what: str = "input") -> np.ndarray:
     """Return ``values`` as an ndarray (:func:`_numbers`), rejecting NaN or
     Inf entries."""

@@ -70,8 +70,8 @@ import numpy as np
 from ._exact import TINY, dot, libm_map, minor, modulus, norm, square, unit
 from .bases import CoherenceDecomposition, DensityMatrix, decompose, reduced_a
 from .errors import ValidationError
-from .linalg import (_any, _require_array, _require_stack, _Valid, _worst, hermitian_eig2,
-                     hermitian_eig3, hermitian_eigvecs2, require_finite)
+from .linalg import (_any, _require_array, _require_stack, _require_type, _Valid, _worst,
+                     hermitian_eig2, hermitian_eig3, hermitian_eigvecs2, require_finite)
 
 #: Construction tolerance on the squared norm of a pure state.
 STATE_NORM_TOL = 1e-9
@@ -225,6 +225,7 @@ def concurrence_amplitudes(psi: PureState):
     Twice the root-sum-square of the moduli of all 2x2 minors; for a 2x2
     state there is a single minor and this reduces to ``2 |a00 a11 - a01 a10|``.
     """
+    _require_type(psi, "psi", PureState)
     # re[j, i] is the real part of a[..., i, j]: a NumPy scalar for one state.
     re, im = psi.amplitudes.real.T, psi.amplitudes.imag.T
     pairs = ((0, 1),) if psi.d_b == 2 else ((0, 1), (2, 0), (1, 2))
@@ -246,9 +247,8 @@ def concurrence_bloch(psi: PureState | CoherenceDecomposition):
     codec output may pass it instead of the state.  The argument of the root
     is clamped at zero against rounding.
     """
-    if isinstance(psi, CoherenceDecomposition):
-        coeffs = psi
-    else:
+    coeffs = _require_type(psi, "psi", PureState, CoherenceDecomposition)
+    if isinstance(psi, PureState):
         coeffs = decompose(psi.density())
     return _out(np.sqrt(np.maximum(0.0, 1.0 - dot(coeffs.u, coeffs.u))))
 
@@ -305,7 +305,7 @@ def schmidt_decompose(psi: PureState) -> SchmidtForm:
     ``y2`` completed as the first standard basis vector orthonormalized
     against ``y1``.  On a stack each state takes its own branch.
     """
-    a = psi.amplitudes
+    a = _require_type(psi, "psi", PureState).amplitudes
     rho_a = a @ np.conj(a).swapaxes(-1, -2)
     rho_a = 0.5 * (rho_a + np.conj(rho_a).swapaxes(-1, -2))
     # Valid by construction: the solver's checks are skipped (ent23.bases notes).
@@ -346,6 +346,7 @@ def _schmidt_vectors(a, k, vectors, flush):
 
 def concurrence_schmidt(form: SchmidtForm):
     """Concurrence from the Schmidt coefficients, ``2 k1 k2``."""
+    _require_type(form, "form", SchmidtForm)
     return _out(np.minimum(1.0, 2.0 * form.k1 * form.k2))
 
 
@@ -453,4 +454,4 @@ def full_report(psi: PureState) -> EntanglementReport:
     than masked here.  The codec output behind ``c_bloch`` also gives the
     coherence norms.  A stack of states gives a report of arrays.
     """
-    return _measure(psi)[0]
+    return _measure(_require_type(psi, "psi", PureState))[0]

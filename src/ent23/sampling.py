@@ -14,7 +14,8 @@ import numpy as np
 
 from ._exact import unit
 from .errors import ValidationError
-from .linalg import _require_array, require_count, require_finite, require_integer, require_real
+from .linalg import (_require_array, _require_type, require_count, require_finite,
+                     require_integer, require_real)
 from .measures import SUPPORTED_DIMS, PureState
 from .rng import RandomStream
 
@@ -150,7 +151,7 @@ def _haar_unitaries(gaussians: np.ndarray) -> np.ndarray:
 def rotate_local(psi: PureState, u_a: np.ndarray, u_b: np.ndarray) -> PureState:
     """Apply the product unitary ``u_a (x) u_b`` to a pure state; on a stack,
     unitaries ``(N, 2, 2)`` and ``(N, d_b, d_b)`` rotate each state with its own."""
-    d_b = psi.d_b
+    d_b = _require_type(psi, "psi", PureState).d_b
     u_a, u_b = _require_array(u_a, complex, "u_a"), _require_array(u_b, complex, "u_b")
     # The state and each unitary are one, or a stack; all stacks of one length.
     stacks = {psi.amplitudes.shape[:-2], u_a.shape[:-2], u_b.shape[:-2]} - {()}

@@ -37,6 +37,7 @@ import sys
 import numpy as np
 
 from .errors import StateFileError, UnsupportedDimensionError, ValidationError
+from .linalg import _require_type
 from .measures import SUPPORTED_DIMS, PureState
 
 _NUMBER = (int, float)
@@ -115,7 +116,7 @@ def parse_state_file(text: str | bytes, renormalize: bool = False) -> PureState:
 
 def render_state_file(psi: PureState) -> str:
     """Serialize one state (not a stack) in the file format; round-trips exactly."""
-    if psi.amplitudes.ndim != 2:
+    if _require_type(psi, "psi", PureState).amplitudes.ndim != 2:
         raise ValidationError(f"a state file holds one state, got a stack {psi.amplitudes.shape}")
     pairs = [[z.real, z.imag] for z in psi.vector()]
     return json.dumps({"dims": [2, psi.d_b], "amplitudes": pairs}, indent=2) + "\n"

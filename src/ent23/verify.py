@@ -40,34 +40,36 @@ they are checked through the robust routes only (amplitude concurrence,
 coherence-vector norms, codec round trips).  Random states never come near
 the boundary, and the other two-term states evaluate exactly.
 
-Units and processes.  A run is a list of units, in stream order: each chunk
-of random states, the fixed-family stack and each chunk of rotation pairs.
-A stream word depends on nothing but its counter (:mod:`ent23.rng`), so each
-unit starts at a counter computed from the draws before it -- 24 words
-(8 d_b) per random state, 1260 for the families, 76 per rotation pair --
-and no unit draws its way to its start.  The units are split by state count
-between the calling process and up to one child per further CPU
-(``os.sched_getaffinity``, else ``os.cpu_count``); the caller keeps the
-first random chunk and the families.  Each child is forked at the call, so
-it holds the caller's state, monkeypatches included, and no process
-outlives the call.  A child checks its share, sends its maxima (each
-check's largest error, and the largest gap between the coherence-vector
-norms) and its random chunks' qubit purities up one pipe, and leaves through
-``os._exit``; an exception it raises is raised again in the caller, with its
-type and message.  The caller reads each pipe to its end before it reaps
-the child, and kills and reaps every child when its own share raises.  It
-merges the maxima with :func:`_keep`, where a NaN sticks, and adds all the
-purities in state order in one sequential reduce, so the outcome has the
-same bits on any number of CPUs.  Where ``os.fork`` is missing, or another
-thread runs (a forked child would inherit locks held by it), the caller
-checks every unit itself.  The children's resources are not the caller's:
-``getrusage(RUSAGE_SELF)``, and so the benchmark's ``peak_rss_mb``, leaves
-them out, and a tracer installed in the caller records only its own share.
+Shares and processes.  A stream word depends on nothing but its counter
+(:mod:`ent23.rng`), so any contiguous range of a run's draws can start its
+own stream at the counter where the serial stream reaches it: the random
+states take 24 words (8 d_b) each, then the families 1260, then the
+rotation pairs 76 each.  A run is cut into one share per process: up to one
+per CPU (``os.sched_getaffinity``, else ``os.cpu_count``) and no more than
+``n_states``.  Share ``k`` of ``P`` checks the cut
+``[n * k // P, n * (k + 1) // P)`` of the random states and the same cut of
+the rotation pairs, each drawn from one stream started at its first counter,
+and share 0, the calling process's, checks the families too, so that every
+layer runs in the calling process.  Each other share is checked in a child
+forked at the call, which knows the run from the caller's state, monkeypatches
+included, and needs only its share's number; no process outlives the call.
+A child sends its maxima (each check's largest error, and the largest gap
+between the coherence-vector norms) and its cut's qubit purities up one pipe,
+and leaves through ``os._exit``; an exception it raises is raised again in
+the caller, with its type and message.  The caller reads each pipe to its
+end before it reaps the child, and kills and reaps every child when its own
+share raises.  It merges the maxima with :func:`_keep`, where a NaN sticks,
+and adds the purities of every share, in share order, in one sequential
+reduce, so the outcome has the same bits on any number of CPUs.  Where
+``os.fork`` is missing, or another thread runs (a forked child would
+inherit locks held by it), the caller checks the whole run as one share.
+The children's resources are not the caller's: ``getrusage(RUSAGE_SELF)``,
+and so the benchmark's ``peak_rss_mb``, leaves them out, and a tracer
+installed in the caller records only its own share.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import os
 import pickle
@@ -250,7 +252,7 @@ def _check_stack(psi: PureState, worst: dict[str, float], amplified) -> SimpleNa
 
     ``amplified`` (a per-state mask, or one bool for the stack) selects the
     states that also take the sqrt-amplified comparisons.  Returns the
-    stack's measures, for what its unit checks or keeps besides.
+    stack's measures, for what its caller checks or keeps besides.
     """
     report, rho, rho_a, coeffs, form = _measure(psi)
     m = SimpleNamespace(**report.as_dict(), psi=psi, rho=rho, rho_a=rho_a, rho_b=reduced_b(rho),
@@ -268,8 +270,8 @@ def _haar_unit(stream: RandomStream, size: int, worst: dict[str, float]) -> np.n
     return np.einsum("nij,nji->n", m.rho_a.matrix, m.rho_a.matrix).real
 
 
-def _family_unit(stream: RandomStream, size: int, worst: dict[str, float]) -> None:
-    """Check the fixed families as one stack of ``size`` (61) states.
+def _family_unit(stream: RandomStream, worst: dict[str, float]) -> None:
+    """Check the fixed families as one stack of 61 states.
 
     Rotated maximally entangled states cover the C = 1 boundary (the stream
     gives each pair's two unitaries in turn), the diagonal two-term grid
@@ -301,44 +303,34 @@ def _rotation_unit(stream: RandomStream, size: int, worst: dict[str, float]) -> 
         u_b=_haar_unitaries(block[:, 10:].reshape(size, 3, 3))))
 
 
-# Stream words a unit draws: each complex Gaussian is two draws of two words.
+# Stream words drawn: each complex Gaussian is two draws of two words.
 # A (2, 3) Haar state takes 6 complex Gaussians (8 d_b words), a rotation pair
 # 19, and the families 4 + 9 per rotated pair's unitaries and 5 per product.
 _HAAR_WORDS = 4 * 6
 _ROTATION_WORDS = 4 * 19
 _FAMILY_WORDS = 4 * (13 * _N_ROTATED_BELL + 5 * _N_PRODUCT)
-_N_FAMILIES = _N_ROTATED_BELL + len(_GRID) + _N_PRODUCT
-
-# One unit of work: the function that checks it, its states, and the stream
-# counter its first draw follows.
-_Unit = namedtuple("_Unit", ("check", "size", "counter"))
 
 
-def _units(n_states: int) -> list[_Unit]:
-    """The units of a run in stream order: the Haar chunks, the families and
-    the rotation chunks, each starting where the one before it ends."""
-    plan = [(_haar_unit, size, _HAAR_WORDS * size) for size in chunk_sizes(n_states)]
-    plan.append((_family_unit, _N_FAMILIES, _FAMILY_WORDS))
-    plan += [(_rotation_unit, size, _ROTATION_WORDS * size)
-             for size in chunk_sizes(min(n_states, _MAX_ROTATIONS))]
-    starts = itertools.accumulate((words for _, _, words in plan), initial=0)
-    return [_Unit(check, size, start) for (check, size, _), start in zip(plan, starts)]
-
-
-def _shares(units: list[_Unit], processes: int) -> list[list[tuple[int, _Unit]]]:
-    """``units``, as ``(index, unit)`` pairs, split into at most ``processes``
-    shares by state count.  Share 0, the calling process's, keeps Haar chunk
-    0 and the families, so that every layer runs in the calling process;
-    every other unit goes, in stream order, to the share with the fewest
-    states so far."""
-    keep = {0, [unit.check for unit in units].index(_family_unit)}
-    shares = [[] for _ in range(processes)]
-    loads = [0] * processes
-    for index in sorted(range(len(units)), key=lambda index: index not in keep):
-        share = 0 if index in keep else loads.index(min(loads))
-        shares[share].append((index, units[index]))
-        loads[share] += units[index].size
-    return [share for share in shares if share]
+def _check_share(seed: int, n_states: int, share: int, shares: int):
+    """Check share ``share`` of ``shares`` of a run: the cut
+    ``[n * share // shares, n * (share + 1) // shares)`` of its ``n`` random
+    states and the same cut of its rotation pairs, each drawn from the
+    counter where the serial stream reaches it, in :func:`chunk_sizes`
+    stacks; share 0 checks the fixed families too.  Returns the largest error
+    of each check and the largest norm gap, and the cut's qubit purities in
+    state order."""
+    worst = dict.fromkeys((*CHECK_NAMES, _GAP), 0.0)
+    first, end = n_states * share // shares, n_states * (share + 1) // shares
+    stream = RandomStream(seed, _HAAR_WORDS * first)
+    purities = [_haar_unit(stream, size, worst) for size in chunk_sizes(end - first)]
+    if share == 0:
+        _family_unit(RandomStream(seed, _HAAR_WORDS * n_states), worst)
+    n_rotations = min(n_states, _MAX_ROTATIONS)
+    first, end = n_rotations * share // shares, n_rotations * (share + 1) // shares
+    stream = RandomStream(seed, _HAAR_WORDS * n_states + _FAMILY_WORDS + _ROTATION_WORDS * first)
+    for size in chunk_sizes(end - first):
+        _rotation_unit(stream, size, worst)
+    return worst, np.concatenate(purities)
 
 
 def _cpu_count() -> int:
@@ -355,26 +347,14 @@ def _processes() -> int:
     return _cpu_count() if hasattr(os, "fork") and threading.active_count() == 1 else 1
 
 
-def _check_units(share: list[tuple[int, _Unit]], seed: int):
-    """Check each ``(index, unit)`` of ``share``: the largest error of each
-    check and the largest norm gap, and each Haar chunk's qubit purities, by
-    unit index."""
-    worst = dict.fromkeys((*CHECK_NAMES, _GAP), 0.0)
-    purities = {}
-    for index, unit in share:
-        found = unit.check(RandomStream(seed, unit.counter), unit.size, worst)
-        if found is not None:
-            purities[index] = found
-    return worst, purities
-
-
-def _child(write: int, share, seed: int) -> None:
-    """Check ``share`` in a forked child and send its results, or the exception
-    it raised, up the pipe ``write``.  The child leaves through ``os._exit``
-    alone, so that no inherited stdio buffer or exit handler runs twice."""
+def _child(write: int, seed: int, n_states: int, share: int, shares: int) -> None:
+    """Check share ``share`` in a forked child and send its results, or the
+    exception it raised, up the pipe ``write``.  The child leaves through
+    ``os._exit`` alone, so that no inherited stdio buffer or exit handler
+    runs twice."""
     try:
         try:
-            result = True, _check_units(share, seed)
+            result = True, _check_share(seed, n_states, share, shares)
         except BaseException as exc:  # re-raised in the parent
             result = False, exc
         try:
@@ -387,21 +367,22 @@ def _child(write: int, share, seed: int) -> None:
         os._exit(0)
 
 
-def _check_shares(shares: list[list[tuple[int, _Unit]]], seed: int) -> list:
-    """Each share's results, in share order: the first share is checked here,
-    every other one in a child forked for it, which sends them back over a
-    pipe.  Every child is reaped before this returns or raises."""
+def _check_shares(seed: int, n_states: int) -> list:
+    """Each share's results, in share order: share 0 is checked here, every
+    other one in a child forked for it, which sends them back over a pipe.
+    Every child is reaped before this returns or raises."""
+    shares = min(_processes(), n_states)
     children = []
     try:
-        for share in shares[1:]:
+        for share in range(1, shares):
             read, write = os.pipe()
             pid = os.fork()
             if pid == 0:
                 os.close(read)
-                _child(write, share, seed)
+                _child(write, seed, n_states, share, shares)
             os.close(write)
             children.append((pid, open(read, "rb")))
-        parts = [_check_units(shares[0], seed)]
+        parts = [_check_share(seed, n_states, 0, shares)]
         while children:
             pid, pipe = children[0]
             # Read to EOF first: a child blocks while its pipe is full.
@@ -438,16 +419,14 @@ def run_verification(n_states: int = 1000, seed: int = 42,
     require_tolerance(tol)
     seed = RandomStream(seed).seed
 
-    (worst, purities), *others = _check_shares(_shares(_units(n_states), _processes()), seed)
-    for part_worst, part_purities in others:
-        for name, largest in part_worst.items():
+    (worst, *others), purities = zip(*_check_shares(seed, n_states))
+    for other in others:
+        for name, largest in other.items():
             _keep(worst, name, largest)
-        purities.update(part_purities)
     # Added left to right in state order, as one state at a time: np.sum adds
     # pairwise and Python's sum() compensates (3.12+), both changing the last
     # bits.  subtract.reduce runs in order, and fl(-s - p) = -fl(s + p).
-    purity_mean = float(-np.subtract.reduce(np.concatenate(
-        [purities[index] for index in sorted(purities)]), initial=0.0)) / n_states
+    purity_mean = float(-np.subtract.reduce(np.concatenate(purities), initial=0.0)) / n_states
     _fold(worst, _ENSEMBLE, purity_mean)
     checks = tuple(CheckResult(check.name, worst[check.name], check.bound(tol, n_states))
                    for check in _CHECKS)

@@ -45,7 +45,7 @@ from ent23 import (
 )
 from ent23._exact import dot
 from ent23.linalg import require_finite
-from ent23.sampling import _complex_gaussians, chunk_sizes
+from ent23.sampling import _complex_gaussians
 
 FIELDS = [field.name for field in dataclasses.fields(EntanglementReport)]
 SCHMIDT_GRID = (1.0 / math.sqrt(2.0), 0.75, math.sqrt(3.0) / 2.0, 0.9, 0.97, 1.0)
@@ -226,8 +226,9 @@ def forks(monkeypatch):
     return calls
 
 
-# At most 5 processes: the caller and 4 forked children.
-@pytest.mark.parametrize("n_states, chunk", ((1, 500), (41, 7), (1001, 500), (4000, 500)))
+# At most 5 processes: the caller and 4 forked children; 2 states take 2.
+@pytest.mark.parametrize("n_states, chunk", ((1, 500), (2, 500), (41, 7), (1001, 500),
+                                             (4000, 500)))
 def test_verification_outcome_does_not_depend_on_the_cpu_count(monkeypatch, forks, n_states,
                                                                 chunk):
     monkeypatch.setattr(ent23.sampling, "CHUNK_STATES", chunk)
@@ -236,33 +237,42 @@ def test_verification_outcome_does_not_depend_on_the_cpu_count(monkeypatch, fork
         monkeypatch.setattr(ent23.verify, "_cpu_count", lambda: cpus)
         forks.clear()
         outcomes.append(outcome_bits(run_verification(n_states=n_states, seed=29)))
-        units = ent23.verify._units(n_states)
-        assert len(forks) == min(cpus, len(units) - 1) - 1
+        assert len(forks) == min(cpus, n_states) - 1
     assert all(outcome == outcomes[0] for outcome in outcomes[1:])
 
 
-@pytest.mark.parametrize("n_states, chunk", ((1, 500), (41, 7), (1001, 500), (4000, 500)))
-def test_each_unit_starts_at_the_serial_streams_counter(monkeypatch, n_states, chunk):
-    # The serial run's draws, one unit after another on one stream: the Haar
-    # chunks, the families' unitaries and product factors, the rotation chunks.
+@pytest.mark.parametrize("shares", (1, 2, 3, 5))
+@pytest.mark.parametrize("n_states, chunk", ((5, 500), (41, 7), (1001, 500), (4000, 500)))
+def test_each_share_starts_at_the_serial_streams_counter(monkeypatch, n_states, chunk, shares):
     monkeypatch.setattr(ent23.sampling, "CHUNK_STATES", chunk)
+    streams = []  # each stream a share starts, with its first counter
+
+    def recorded(seed, counter):
+        streams.append((counter, RandomStream(seed, counter)))
+        return streams[-1][1]
+
+    monkeypatch.setattr(ent23.verify, "RandomStream", recorded)
+    drawn = []  # each share's counter ranges: random states, [families,] rotations
+    for share in range(shares):
+        streams.clear()
+        ent23.verify._check_share(29, n_states, share, shares)
+        drawn.append([(start, stream.counter) for start, stream in streams])
+    # The serial run's draws on one stream: the random states, the families'
+    # unitaries and product factors, the rotation pairs.
     stream = RandomStream(29)
-    starts = []
-    for size in chunk_sizes(n_states):
-        starts.append(stream.counter)
-        haar_random((2, 3), stream, size)
-    starts.append(stream.counter)
+    haar_random((2, 3), stream, n_states)
     for _ in range(5):
         random_unitary(2, stream)
         random_unitary(3, stream)
     _complex_gaussians(stream, 5 * 50)
-    for size in chunk_sizes(min(n_states, 1000)):
-        starts.append(stream.counter)
-        _complex_gaussians(stream, 19 * size)
-    assert [unit.counter for unit in ent23.verify._units(n_states)] == starts
+    _complex_gaussians(stream, 19 * min(n_states, 1000))
+    # In stream order, each range starts where the one before it ends.
+    ranges = [share[0] for share in drawn] + [drawn[0][1]] + [share[-1] for share in drawn]
+    bounds = [0, *itertools.chain.from_iterable(ranges), stream.counter]
+    assert bounds[0::2] == bounds[1::2]
 
 
-def test_a_nan_in_a_childs_units_fails_its_check(monkeypatch):
+def test_a_nan_in_a_childs_share_fails_its_check(monkeypatch):
     caller = os.getpid()
 
     def nan_in_a_child(form):
@@ -281,14 +291,15 @@ def test_a_nan_in_a_childs_units_fails_its_check(monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", (1, 2))
-@pytest.mark.parametrize("chunk", (0, 1), ids=("first-chunk", "later-chunk"))
-def test_a_nan_norm_gap_sticks_in_the_observation(monkeypatch, cpus, chunk):
-    # 1001 states in chunks of 500: at 2 CPUs chunk 0 is checked here, chunk 1
-    # in the child.  A NaN in one chunk's u_norm must not drop out of the gap,
-    # wherever it falls in the merge.
+@pytest.mark.parametrize("share", (0, 1), ids=("first-chunk", "later-chunk"))
+def test_a_nan_norm_gap_sticks_in_the_observation(monkeypatch, cpus, share):
+    # 1001 states in chunks of 500: at 2 CPUs the first chunk of share 0 is
+    # checked here, that of share 1 (states 500 to 999) in the child.  A NaN
+    # in one chunk's u_norm must not drop out of the gap, wherever it falls
+    # in the merge.
     monkeypatch.setattr(ent23.sampling, "CHUNK_STATES", 500)
-    unit = ent23.verify._units(1001)[chunk]
-    poisoned = haar_random((2, 3), RandomStream(3, unit.counter), unit.size).amplitudes
+    first = 1001 * share // 2
+    poisoned = haar_random((2, 3), RandomStream(3, 24 * first), 500).amplitudes
     measure = ent23.verify._measure
 
     def nan_in_one_chunk(psi):
@@ -364,7 +375,7 @@ def test_an_error_in_the_callers_share_kills_and_reaps_every_child(monkeypatch):
             time.sleep(60)
         return haar_unit(stream, size, worst)
 
-    def fail_here(stream, size, worst):
+    def fail_here(stream, worst):
         raise ValidationError("the families failed")
 
     monkeypatch.setattr(ent23.verify, "_haar_unit", stall_in_a_child)

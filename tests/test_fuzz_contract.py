@@ -7,7 +7,9 @@ One hypothesis test draws, per example, one target and its arguments:
   from scalars of every kind, arrays of every dtype and shape (long doubles
   too, where they are wider than a double), ragged and mixed lists, and
   valid arrays made extreme (beyond the float range too), strided,
-  read-only or listed;
+  read-only or listed, and every parameter that takes a package object
+  drawn from valid objects, package objects of another type and those
+  arrays and scalars;
 - or ``cli.main``, on fuzzed argv or on a fuzzed state file written under
   ``tmp_path``.
 
@@ -18,9 +20,8 @@ or 2, prints no traceback, and prints nothing to stdout when it exits 2.
 
 Kept out of the draw: a count parameter gets only a small or an invalid
 value, never a large valid one (``next_gaussian(10**12)`` would allocate
-terabytes); a parameter that takes a package object gets a valid one;
-``require_hermitian``'s ``tol`` and each check's ``what`` are the caller's
-settings; the record types (``EntanglementReport``, ``SchmidtForm``,
+terabytes); ``require_hermitian``'s ``tol`` and each check's ``what`` are
+the caller's settings; the record types (``EntanglementReport``, ``SchmidtForm``,
 ``CheckResult``, ``VerifyOutcome``) and the exception classes store their
 arguments unchecked.  The draw is derandomized and the example count fixed,
 so every run calls the same inputs.
@@ -157,9 +158,12 @@ STATE_TEXT = st.one_of(
 )
 
 
-# Each library target: the callable and a strategy per argument.
-OBJECTS = {"state": st.sampled_from(STATES), "density": st.sampled_from(DENSITIES),
-           "codec": st.sampled_from(CODEC), "form": st.sampled_from(FORMS)}
+# Each library target: the callable and a strategy per argument.  An object
+# parameter gets a valid object, or any package object, array or scalar.
+_WRONG_OBJECTS = st.one_of(st.sampled_from(STATES + DENSITIES + CODEC + FORMS), VALUES)
+OBJECTS = {kind: st.one_of(st.sampled_from(valid), _WRONG_OBJECTS)
+           for kind, valid in (("state", STATES), ("density", DENSITIES), ("codec", CODEC),
+                               ("form", FORMS))}
 CALLS = {
     "PureState": (PureState, (VALUES,)),
     "DensityMatrix": (DensityMatrix, (VALUES,)),

@@ -15,17 +15,19 @@ of an overflow in its cast before it was rejected.  Entries near the float
 limit warned of an overflow in ``require_hermitian``'s deviation, in
 ``DensityMatrix``'s trace and in a raw ``decompose``'s sums before they were
 rejected.  The eigensolvers warned of an overflow on finite matrices whose
-eigenvalues, or whose spectral gap, leave the float range.
+eigenvalues, or whose spectral gap, leave the float range.  An array
+passed where a package object is expected raised ``AttributeError``.
 """
 
 import numpy as np
 import pytest
 
 from ent23 import (CoherenceDecomposition, ConsistencyError, DensityMatrix, PureState,
-                   RandomStream, ValidationError, binary_entropy, decompose,
-                   eof_from_concurrence, haar_random, hermitian_eig2, hermitian_eig3,
-                   hermitian_eigvecs2, product_state, render_state_file, rotate_local,
-                   schmidt_pair_state)
+                   RandomStream, ValidationError, binary_entropy, concurrence_amplitudes,
+                   concurrence_bloch, concurrence_schmidt, decompose, eof_from_concurrence,
+                   full_report, haar_random, hermitian_eig2, hermitian_eig3,
+                   hermitian_eigvecs2, product_state, reconstruct, render_state_file,
+                   rotate_local, schmidt_decompose, schmidt_pair_state)
 from ent23.linalg import require_finite, require_hermitian
 
 COMPLEX_INPUTS = {
@@ -206,3 +208,20 @@ def test_entries_near_the_float_limit_are_rejected_without_a_warning(call, error
 ), ids=("hermitian_eig2", "hermitian_eig3", "hermitian_eigvecs2"))
 def test_eigenvalues_beyond_the_float_range_are_solved_without_a_warning(call, expected):
     assert call() == expected
+
+
+@pytest.mark.parametrize("call, message", (
+    (concurrence_amplitudes, "psi must be a PureState, got ndarray"),
+    (concurrence_bloch, "psi must be a PureState or CoherenceDecomposition, got ndarray"),
+    (schmidt_decompose, "psi must be a PureState, got ndarray"),
+    (full_report, "psi must be a PureState, got ndarray"),
+    (concurrence_schmidt, "form must be a SchmidtForm, got ndarray"),
+    (lambda psi: rotate_local(psi, np.eye(2), np.eye(3)), "psi must be a PureState, got ndarray"),
+    (render_state_file, "psi must be a PureState, got ndarray"),
+    (reconstruct, "coeffs must be a CoherenceDecomposition, got ndarray"),
+), ids=("concurrence_amplitudes", "concurrence_bloch", "schmidt_decompose", "full_report",
+        "concurrence_schmidt", "rotate_local", "render_state_file", "reconstruct"))
+def test_an_array_where_a_package_object_is_expected_is_rejected(call, message):
+    with pytest.raises(ValidationError) as raised:
+        call(schmidt_pair_state(0.75).amplitudes)
+    assert str(raised.value) == message
