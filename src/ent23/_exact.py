@@ -103,9 +103,12 @@ modules use them instead:
   sign, and ``+ 0.0`` after it would give +0 where einsum gives -0
   (coefficients of scale 5e-324).
 - The stacked ``matmul`` for the qubit reduced matrix matched bit for bit.
-- The 3x3 guard ``big == 0 -> other = 0`` stays apart from the 2x2 form
-  ``det / (big + (big == 0))``, whose numerator vanishes with ``big``; the
-  deflated pair's product need not, and sharing changed 103 of 22317 spectra.
+- The 3x3 guard ``root == 0 -> other = big`` stays apart from the 2x2 form
+  ``det / (big + (big == 0))``, whose numerator vanishes with ``big``.  The
+  deflated pair's product need not: it carries rounding noise of ~eps, so
+  where the discriminant rounds to 0 the pair is ``pair_sum/2`` twice, not
+  that noise divided by a tiny ``big``.  ``big == 0`` implies ``root == 0``,
+  so the zero pair is covered too.
 """
 
 from __future__ import annotations

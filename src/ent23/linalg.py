@@ -340,7 +340,10 @@ def hermitian_eig3(matrix):
     deflated characteristic quadratic on the same stable branch as the 2x2
     solver.  (Near ``|cos(3*phi)| = 1`` the arccosine has unbounded
     derivative, so reading a nearly degenerate pair off the cosine form
-    splits it by ~sqrt(eps); the deflation keeps exact inputs exact.)
+    splits it by ~sqrt(eps); the deflation keeps exact inputs exact.)  Near
+    rank 1 the pair's error still has a floor of ~sqrt(eps) ~ 1e-8:
+    ``pair_sum`` and ``pair_prod`` each carry an absolute error of ~eps, and
+    the quadratic's discriminant takes its square root.
     Matrices with entries beyond ``2**±500`` are solved scaled
     (:func:`_scaled`).  One matrix gives a tuple of three floats; a stack
     ``(N, 3, 3)`` gives an ``(N, 3)`` array, each row descending.
@@ -368,8 +371,9 @@ def hermitian_eig3(matrix):
     pair_prod = minors - isolated * pair_sum
     root = np.sqrt(np.maximum(0.0, pair_sum * pair_sum - 4.0 * pair_prod))
     big = 0.5 * np.where(pair_sum >= 0.0, pair_sum + root, pair_sum - root)
-    # Unlike the 2x2 solver, pair_prod need not vanish where big does.
-    other = np.where(big == 0.0, 0.0, pair_prod / (big + (big == 0.0)))
+    # A discriminant that rounds to 0 gives the pair as pair_sum/2 twice:
+    # dividing pair_prod's rounding noise by a tiny big would blow it up.
+    other = np.where(root == 0.0, big, pair_prod / (big + (big == 0.0)))
     w = -np.sort(-np.array((isolated, big, other)), axis=0)
     w = _unscaled(np.where(p2 == 0.0, q, w), shift)
     return tuple(w.tolist()) if m.ndim == 2 else w.T

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -150,44 +150,32 @@ class PureState:
         return DensityMatrix(_Valid(outer))
 
 
-_VECTORS = ("x1", "x2", "y1", "y2")
-
-
 @dataclass(frozen=True)
 class SchmidtForm:
     """Two-term Schmidt decomposition ``k1 |x1>|y1> + k2 |x2>|y2>``.
 
     For a stack of ``N`` states ``k1`` and ``k2`` are arrays ``(N,)`` and the
-    vectors carry a leading axis of length ``N``.  A form made by
-    :func:`schmidt_decompose` computes its vectors when one of them is first
-    read, with the same bits: :func:`full_report` reads only ``k1`` and
-    ``k2``, so ``compute`` and ``sample`` never make the vectors.
+    vectors carry a leading axis of length ``N``.  Only
+    :func:`schmidt_decompose` makes a form; ``repr`` shows ``k1`` and ``k2``.
+    The four read-only vectors come from one call of the builder it passes,
+    made when one of them is first read: :func:`full_report` reads only
+    ``k1`` and ``k2``, so ``compute`` and ``sample`` never make the vectors.
     """
 
     k1: float
     k2: float
-    x1: np.ndarray
-    x2: np.ndarray
-    y1: np.ndarray
-    y2: np.ndarray
+    _build: functools.partial = field(repr=False, compare=False)
 
-    @classmethod
-    def _deferred(cls, k1, k2, build) -> SchmidtForm:
-        """A form whose vectors ``build()`` returns, called on first read."""
-        form = object.__new__(cls)
-        form.__dict__.update(k1=k1, k2=k2, _build=build)
-        return form
+    @functools.cached_property
+    def _vectors(self) -> tuple:
+        # From Python 3.12 cached_property takes no lock: two threads may
+        # both build the vectors, and they get the same bits.
+        return self._build()
 
-    def __getattr__(self, name: str):
-        # Only reached for an attribute the instance lacks: the vectors of a
-        # deferred form not read yet.  Two threads may both build them;
-        # they get the same bits.
-        build = self.__dict__.get("_build")
-        if build is None or name not in _VECTORS:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        self.__dict__.update(zip(_VECTORS, build()))
-        self.__dict__.pop("_build", None)
-        return self.__dict__[name]
+    x1 = property(lambda self: self._vectors[0])
+    x2 = property(lambda self: self._vectors[1])
+    y1 = property(lambda self: self._vectors[2])
+    y2 = property(lambda self: self._vectors[3])
 
     def reconstruct(self) -> np.ndarray:
         """Amplitude grid (or stack of grids) rebuilt from the decomposition."""
@@ -317,8 +305,8 @@ def schmidt_decompose(psi: PureState) -> SchmidtForm:
     if _any(flush):
         k2 = np.where(flush, 0.0, k2)
         k2.setflags(write=False)
-    return SchmidtForm._deferred(_out(k1), _out(k2),
-                                 functools.partial(_schmidt_vectors, a, k, vectors, flush))
+    return SchmidtForm(_out(k1), _out(k2),
+                       functools.partial(_schmidt_vectors, a, k, vectors, flush))
 
 
 def _schmidt_vectors(a, k, vectors, flush):

@@ -515,7 +515,8 @@ def test_one_state_report_and_schmidt_form_match_recorded_digest():
 
 def eig3_matrices():
     """I/3 (p2 == 0), the rank-one partner matrices of product states
-    (big == 0), every reduced_b of the family stack, and random matrices."""
+    (root == big == 0), every reduced_b of the family stack, and random
+    matrices."""
     matrices = [np.eye(3) / 3, np.zeros((3, 3)), np.diag([0.5, 0.5, 0.0])]
     products = product_state(np.eye(2)[[0, 1, 0]], np.eye(3)[[0, 1, 2]])
     for psi in (products, PureState(np.stack([psi.amplitudes for psi in family_stack(3)]))):
@@ -526,8 +527,9 @@ def eig3_matrices():
 
 
 #: sha256 of the eigenvalues of :func:`eig3_matrices` as float64 bytes, from
-#: one call per matrix of the solver that predates the stacked one.
-EIG3_DIGEST = "a390202d34681a91a41bd401c847f917ada48d08ad4f275adbd9a0ee545c49d4"
+#: the solver whose deflated pair is ``pair_sum/2`` twice where its
+#: discriminant rounds to 0.
+EIG3_DIGEST = "207d9e78db71622ffef22055de792dee1981180c49e26da7d90ce7516b172b5d"
 
 
 def test_stacked_eig3_equals_per_matrix_calls():

@@ -1,10 +1,14 @@
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
 
-from ent23 import ValidationError, hermitian_eig2, hermitian_eig3, hermitian_eigvecs2
+from ent23 import (PureState, RandomStream, ValidationError, hermitian_eig2, hermitian_eig3,
+                   hermitian_eigvecs2, random_unitary, reduced_a, reduced_b, rotate_local,
+                   von_neumann_entropy)
+from test_oracle import EPS, NEAR_PRODUCT_K2, families, schmidt_grid_state
 
 
 def random_hermitian(rng, dim):
@@ -167,6 +171,28 @@ def test_eig3_sum_matches_trace():
     for _ in range(200):
         m = random_hermitian(rng, 3)
         assert abs(sum(hermitian_eig3(m)) - m.trace().real) < 1e-12
+
+
+def test_eig3_keeps_the_small_pair_near_rank_one():
+    # Qutrit reduced matrices of locally rotated diag(sqrt(1 - k2**2), k2)
+    # states, 400 per decade of k2, and the oracle's near-product case at
+    # d_b = 3, index 27 (k2 = 1e-7).  There the deflated pair's product is
+    # rounding noise, which a division by a tiny root would blow up to
+    # eigenvalue errors of order 1; the quadratic's ~sqrt(eps) floor (1.4e-8
+    # measured) is what may remain.
+    amps = [families()["near-product-3"][27:28]]
+    for k2 in NEAR_PRODUCT_K2:
+        stream = RandomStream(7)
+        grid = np.stack([schmidt_grid_state(math.sqrt(1.0 - k2 * k2), k2, 3)] * 400)
+        amps.append(rotate_local(PureState(grid), random_unitary(2, stream, 400),
+                                 random_unitary(3, stream, 400)).amplitudes)
+    rho = PureState(np.concatenate(amps)).density()
+    rho_b = reduced_b(rho)
+    m = 0.5 * (rho_b.matrix + np.conj(rho_b.matrix).swapaxes(-1, -2))
+    values = hermitian_eig3(m)
+    assert abs(values - np.linalg.eigvalsh(m)[:, ::-1]).max() < 1.5e-7
+    assert abs(values.sum(axis=1) - np.trace(m, axis1=1, axis2=2).real).max() <= 4 * EPS
+    assert abs(von_neumann_entropy(rho_b) - von_neumann_entropy(reduced_a(rho))).max() < 1e-6
 
 
 def test_eig3_charpoly_residual():

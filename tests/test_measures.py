@@ -178,7 +178,8 @@ def test_schmidt_decompose_triple():
 
 def test_schmidt_vectors_are_built_once_on_first_read(monkeypatch):
     # full_report reads only k1 and k2, so it never builds the vectors; a
-    # form builds them on its first read, with the bits of an eager form.
+    # form builds all four on its first vector read, with the bits of a
+    # direct build.
     builds = []
     build = ent23.measures._schmidt_vectors
 
@@ -189,14 +190,15 @@ def test_schmidt_vectors_are_built_once_on_first_read(monkeypatch):
     monkeypatch.setattr(ent23.measures, "_schmidt_vectors", counting)
     full_report(TRIPLE)
     form = schmidt_decompose(TRIPLE)
+    assert repr(form) == f"SchmidtForm(k1={form.k1!r}, k2={form.k2!r})"
     assert builds == []
-    y2 = form.y2  # the first read builds all four vectors
+    y2 = form.y2
     assert len(builds) == 1
-    assert form.y2 is y2 and form.x1 is form.x1 and not y2.flags.writeable
-    eager = dataclasses.replace(form)
-    assert "_build" not in vars(eager)
-    for name in ("k1", "k2", "x1", "x2", "y1", "y2"):
-        assert np.asarray(getattr(eager, name)).tobytes() == np.asarray(getattr(form, name)).tobytes()
+    assert form.y2 is y2 and form.x1 is form.x1
+    direct = build(*builds[0])
+    for name, vec in zip(("x1", "x2", "y1", "y2"), direct):
+        assert not getattr(form, name).flags.writeable
+        assert getattr(form, name).tobytes() == vec.tobytes()
     assert len(builds) == 1
     with pytest.raises(AttributeError, match="'x3'"):
         form.x3

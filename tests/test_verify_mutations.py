@@ -33,16 +33,24 @@ def shifted(module, name, shift):
 
 
 def schmidt_scaled(field, factor):
-    """Patch the Schmidt route to return ``field`` times ``factor``."""
-    real = measures.schmidt_decompose
+    """Patch the Schmidt route to return ``field`` times ``factor``: a
+    coefficient by ``replace`` on the form, a vector where the form builds
+    its vectors."""
+    if field in ("k1", "k2"):
+        real = measures.schmidt_decompose
 
-    def schmidt_decompose(psi):
-        form = real(psi)
-        return dataclasses.replace(form, **{field: getattr(form, field) * factor})
+        def schmidt_decompose(psi):
+            form = real(psi)
+            return dataclasses.replace(form, **{field: getattr(form, field) * factor})
+        return lambda mp: mp.setattr(measures, "schmidt_decompose", schmidt_decompose)
+    real = measures._schmidt_vectors
+    index = ("x1", "x2", "y1", "y2").index(field)
 
-    def patch(mp):
-        mp.setattr(measures, "schmidt_decompose", schmidt_decompose)
-    return patch
+    def _schmidt_vectors(*args):
+        vectors = list(real(*args))
+        vectors[index] = vectors[index] * factor
+        return tuple(vectors)
+    return lambda mp: mp.setattr(measures, "_schmidt_vectors", _schmidt_vectors)
 
 
 def codec_scaled(field, factor):
